@@ -33,11 +33,12 @@ Optional reductions (:mod:`repro.checker.reduction`):
   asserts literally.  Auto-disabled (with a note) under weak memory,
   depth budgets, or combined with symmetry.
 
-``workers > 1`` fans each BFS level across a process pool
-(:mod:`repro.parallel.frontier`) and merges the shard results in shard
-order; fingerprints are content-derived, so the merged visited set is
-identical at any worker count.  See docs/CHECKER.md for the collision
-math, the soundness arguments, and the determinism contract.
+``workers > 1`` keeps the frontier in worker processes
+(:mod:`repro.parallel.frontier`): each worker expands its own resident
+slice and only fingerprints and admit flags cross processes, merged in
+worker order; fingerprints are content-derived, so the merged visited
+set is identical at any worker count.  See docs/CHECKER.md for the
+collision math, the soundness arguments, and the determinism contract.
 """
 
 from __future__ import annotations
@@ -64,8 +65,8 @@ from repro.sim.process import Automaton
 #: three_bounded cell (17.4M states), not for toy runs.
 DEFAULT_MAX_STATES = 50_000_000
 
-#: Below this level size the sharded path falls back to in-process
-#: expansion — pickling a tiny level costs more than expanding it.
+#: Levels smaller than this expand in-process; the first level that
+#: reaches it starts the frontier workers, which keep the search.
 MIN_PARALLEL_LEVEL = 512
 
 
@@ -599,7 +600,6 @@ def explore_fast(
     heartbeat_sink: Optional[Callable[[Dict[str, Any]], None]] = None,
     heartbeat_every: int = 200_000,
     telemetry_path: Optional[str] = None,
-    spill_dir: Optional[str] = None,
     tracer=None,
 ) -> ExploreReport:
     """Level-synchronous fingerprinted BFS with inline safety checking.
@@ -612,13 +612,12 @@ def explore_fast(
     Parameters beyond the explorer's: ``exact`` stores packed vectors
     instead of fingerprints (no collision risk, more memory);
     ``symmetry``/``por`` enable the verified reductions; ``workers``
-    fans levels across a process pool; ``heartbeat_sink``/
-    ``telemetry_path`` stream :class:`~repro.obs.telemetry.Heartbeat`
-    progress pulses (visited, states/sec, depth, frontier — ``repro
-    top`` renders them); ``spill_dir`` spools sharded level payloads
-    through files instead of pipes; ``tracer`` records the whole
-    search as one ``checker.explore`` span with ``visited``/
-    ``frontier`` attributes.
+    spreads the frontier across worker processes once a level reaches
+    ``MIN_PARALLEL_LEVEL``; ``heartbeat_sink``/``telemetry_path``
+    stream :class:`~repro.obs.telemetry.Heartbeat` progress pulses
+    (visited, states/sec, depth, frontier — ``repro top`` renders
+    them); ``tracer`` records the whole search as one
+    ``checker.explore`` span with ``visited``/``frontier`` attributes.
     """
     t0 = _perf_counter()
     if workers < 1:
@@ -689,20 +688,17 @@ def explore_fast(
                 truncated_by = "depth"
                 break
             next_items: List[Tuple] = []
-            if workers > 1 and len(level) >= max(
+            if pool_runner is None and workers > 1 and len(level) >= max(
                     MIN_PARALLEL_LEVEL, workers):
-                from repro.parallel import frontier as frontier_mod
+                # From here on the level lives in the workers and
+                # ``level`` holds key/mask handles only.
+                from repro.parallel.frontier import FrontierPool
 
-                if pool_runner is None:
-                    pool_runner = frontier_mod.FrontierPool(
-                        engine, workers, spill_dir=spill_dir,
-                        protocol_factory=protocol_factory)
-                lv_edges, lv_pruned, viols, stopped = \
-                    pool_runner.expand_level(
-                        level, visited, next_items, depth, max_states)
-            else:
-                lv_edges, lv_pruned, viols, stopped = engine.expand_level(
-                    level, visited, next_items, depth, max_states)
+                pool_runner = FrontierPool(
+                    engine, workers, protocol_factory=protocol_factory)
+            expander = engine if pool_runner is None else pool_runner
+            lv_edges, lv_pruned, viols, stopped = expander.expand_level(
+                level, visited, next_items, depth, max_states)
             edges += lv_edges
             pruned += lv_pruned
             if viols:
@@ -725,8 +721,11 @@ def explore_fast(
         exhausted = False
         if violation_rec is None:
             if truncated_by == "depth":
-                exhausted = not any(
-                    engine.has_enabled(item) for item in frontier_items)
+                if pool_runner is not None:
+                    exhausted = not pool_runner.has_enabled(depth)
+                else:
+                    exhausted = not any(engine.has_enabled(item)
+                                        for item in frontier_items)
                 if exhausted:
                     truncated_by = None
             else:

@@ -4,47 +4,70 @@ One level of the level-synchronous search in
 :func:`repro.checker.statespace.explore_fast` is an embarrassingly
 parallel map: every frontier configuration can be expanded
 independently, and only the visited-set merge needs coordination.  This
-module fans a level across a ``spawn`` process pool (the same engine
-discipline as :mod:`repro.parallel.engine`: picklable specs checked at
-submission, module-level worker functions, deterministic merge order)
-and hands the shard results back to the parent, which owns the global
-visited set.
+module spreads the search across ``workers`` spawned processes, each
+on its own pipe, and keeps each BFS level *in the worker that produced
+it*: a worker's slice of the frontier stays packed in its own table-IR
+ids, and per level only fingerprints and admit flags cross the process
+boundary.
 
-Determinism contract (docs/CHECKER.md §5)
------------------------------------------
+One level (docs/CHECKER.md §5):
 
-Configurations cross the process boundary *decoded* — as state/value
-object tuples, never as interned integer ids — because each worker
-interns into its own :class:`~repro.ir.lower.CompiledProtocol` and two
-workers that discover states in different orders assign different ids
-to the same state.  Fingerprints are content-derived
-(:mod:`repro.checker.fingerprint`), so a worker's fingerprint of a
-configuration equals the parent's and every other worker's.  The parent
-merges shard results *in shard order* (``Pool.map`` preserves task
-order), so for a non-violating search the visited set — and therefore
-the report — is identical at any worker count, including ``workers=1``
-serial.  On a violating search the first violation in shard order wins,
-which is deterministic for a fixed worker count but may differ from the
-serial engine's first-in-BFS-order violation.
+1. The parent sends every worker an ``expand`` task carrying its reply
+   to the worker's previous level (one admit flag per successor; under
+   POR the merged sleep mask, ``-1`` for refused).
+2. Each worker keeps the admitted successors as its resident slice,
+   expands it with :meth:`~repro.checker.statespace.StateSpaceEngine.
+   expand_level` against a worker-local visited set, keeps the packed
+   successors, and returns ``(edges, pruned, violations)`` plus the
+   successors' 64-bit fingerprints as one ``array('Q')`` (POR adds each
+   successor's sleep mask).
+3. The parent merges the arrays in worker order against the global
+   visited set, applying ``max_states`` exactly as the serial search
+   does, and records the admit reply that rides on the next task.
 
-``spill_dir`` routes each shard's item payload through a pickle file
-instead of the task pipe — the disk-backed variant for levels too
-large to hold twice in memory.
+Items are decoded once per search: the first pool level is handed off
+decoded (each worker interns into its own
+:class:`~repro.ir.lower.CompiledProtocol`, so packed ids are not
+portable), split contiguously across the workers.  Exact mode has no
+content-derived fingerprint, so there workers send decoded keys and the
+parent encodes them against its own tables.
+
+Determinism contract
+--------------------
+
+Fingerprints are content-derived (:mod:`repro.checker.fingerprint`), so
+a worker's fingerprint of a configuration equals the parent's and every
+other worker's.  Slices are contiguous and merged in worker order, so
+the concatenation of the resident slices *is* the serial search's level,
+in serial order; a successor found by several workers in one level is
+kept by the lowest worker index.  For a non-violating search visited,
+edges, depth, exhausted and frontier are therefore identical at every
+worker count, including ``workers=1`` serial.  On a violating search the
+first violation in worker order wins; the verdict never differs.
+
+A worker that dies (EOF on its pipe) or raises surfaces as
+:class:`FrontierWorkerError` naming the worker and the depth;
+:meth:`FrontierPool.close` stops, joins and if need be terminates every
+worker.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import os
+import itertools
 import pickle
+import time
+import traceback
+from array import array
 from typing import Any, Callable, Hashable, List, Optional, Sequence, Tuple
 
-#: A shard below this many items is not worth a task round-trip.
-MIN_ITEMS_PER_SHARD = 64
+#: Seconds :meth:`FrontierPool.close` waits for workers to exit after
+#: ``stop`` before terminating them.
+STOP_GRACE_S = 1.0
 
-#: Tasks per worker per level — oversharding evens out load imbalance
-#: between frontier regions of different branching factor.
-OVERSHARD = 4
+
+class FrontierWorkerError(RuntimeError):
+    """A frontier worker died or failed; the search cannot go on."""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -69,33 +92,44 @@ class FrontierSpec:
 
 @dataclasses.dataclass(frozen=True)
 class FrontierShardTask:
-    """One shard of one BFS level, in decoded (picklable) form."""
+    """One BFS level for one worker.
 
-    shard: int
+    ``items`` is the decoded handoff slice (first pool level only);
+    otherwise ``admit`` is the parent's reply to the worker's previous
+    level: ``bytes`` of 0/1 flags, or under POR an ``array('q')`` of
+    merged sleep masks with ``-1`` for refused.
+    """
+
     depth: int
-    items: Optional[Tuple[Tuple, ...]]
-    path: Optional[str] = None  # spill file holding ``items`` instead
+    items: Optional[Tuple[Tuple, ...]] = None
+    admit: Any = None
 
 
 @dataclasses.dataclass
 class FrontierShardResult:
-    """A worker's expansion of one shard.
+    """A worker's expansion of its resident slice.
 
-    ``successors`` entries are ``(states, reg_values, mem, mask, fp)``
-    where ``fp`` is the content-derived fingerprint (``None`` in exact
-    mode — the parent keys exact sets with its own packed vectors);
-    ``violations`` are decoded ``(message, states, regs, mem)`` records.
+    ``successors`` holds one entry per kept successor, in expansion
+    order: its fingerprint (an ``array('Q')``), or in exact mode its
+    decoded ``(states, reg-values, mem)`` key.  ``masks`` carries the
+    successors' sleep masks under POR (else ``None``); ``violations``
+    are decoded ``(message, states, regs, mem)`` records.
     """
 
-    shard: int
     edges: int
     pruned: int
-    successors: List[Tuple]
+    successors: Any
+    masks: Optional[array]
     violations: List[Tuple]
 
 
+# -- worker side ---------------------------------------------------------
+
 _WORKER_ENGINE = None
-_WORKER_SPEC: Optional[FrontierSpec] = None
+#: The slice expanded last (kept to locate a budget refusal).
+_RESIDENT: List[Tuple] = []
+#: Its successors, awaiting the parent's admit reply.
+_PENDING: List[Tuple] = []
 
 
 def _engine_from_spec(spec: FrontierSpec):
@@ -107,54 +141,113 @@ def _engine_from_spec(spec: FrontierSpec):
         fingerprint_seed=spec.fingerprint_seed)
 
 
-def _init_frontier_worker(spec: FrontierSpec) -> None:
-    """Pool initializer: build the shard engine once per worker."""
-    global _WORKER_ENGINE, _WORKER_SPEC
-    _WORKER_ENGINE = _engine_from_spec(spec)
-    _WORKER_SPEC = spec
+def _admitted(admit) -> List[Tuple]:
+    """The pending successors the parent admitted, as the next slice."""
+    if _WORKER_ENGINE.por:
+        return [item[:4] + (mask,) for item, mask in zip(_PENDING, admit)
+                if mask >= 0]
+    return list(itertools.compress(_PENDING, admit))
 
 
 def _expand_frontier_shard(task: FrontierShardTask) -> FrontierShardResult:
-    """Expand one shard against a worker-local (empty) visited set.
+    """Expand this worker's resident slice for one level.
 
     Local dedup only trims the transport volume; the authoritative
-    dedup — against states visited at *any* level by *any* shard — is
-    the parent merge.  Module-level so it pickles under ``spawn``.
+    dedup — against states visited at *any* level by *any* worker — is
+    the parent merge.
+    """
+    global _RESIDENT, _PENDING
+    engine = _WORKER_ENGINE
+    if task.items is not None:
+        _RESIDENT = [engine.encode_item(item) for item in task.items]
+    else:
+        _RESIDENT = _admitted(task.admit)
+    visited: Any = {} if engine.por else set()
+    _PENDING = []
+    edges, pruned, violations, _ = engine.expand_level(
+        _RESIDENT, visited, _PENDING, task.depth, None)
+    if engine.exact:
+        successors: Any = [engine.decode_item(item)[:3]
+                           for item in _PENDING]
+    else:
+        successors = array("Q", [item[3] for item in _PENDING])
+    masks = (array("Q", [item[4] for item in _PENDING])
+             if engine.por else None)
+    return FrontierShardResult(edges, pruned, successors, masks,
+                               violations)
+
+
+def _locate_successor(index: int, depth: int) -> int:
+    """Which resident item produced successor ``index`` of the last level.
+
+    Re-expands the slice item by item with the same local dedup, so the
+    successor order is the one the parent merged.
     """
     engine = _WORKER_ENGINE
-    assert engine is not None, "frontier worker used without initializer"
-    items = task.items
-    if task.path is not None:
-        with open(task.path, "rb") as fh:
-            items = pickle.load(fh)
-    packed = [engine.encode_item(item) for item in items]
     visited: Any = {} if engine.por else set()
-    next_items: List[Tuple] = []
-    edges, pruned, violations, _ = engine.expand_level(
-        packed, visited, next_items, task.depth, None)
-    fp_mode = not engine.exact
-    successors = [
-        engine.decode_item(item) + ((item[3] if fp_mode else None),)
-        for item in next_items
-    ]
-    return FrontierShardResult(task.shard, edges, pruned,
-                               successors, violations)
+    produced: List[Tuple] = []
+    for idx, item in enumerate(_RESIDENT):
+        engine.expand_level([item], visited, produced, depth, None)
+        if len(produced) > index:
+            return idx
+    raise IndexError(f"no successor {index} in the resident slice")
+
+
+def _has_enabled(admit) -> bool:
+    engine = _WORKER_ENGINE
+    return any(engine.has_enabled(item) for item in _admitted(admit))
+
+
+def _frontier_worker(conn, spec: FrontierSpec) -> None:
+    """Worker main loop: build the engine, then serve the parent."""
+    global _WORKER_ENGINE
+    try:
+        _WORKER_ENGINE = _engine_from_spec(spec)
+        failure = None
+    except Exception:
+        failure = traceback.format_exc()
+    while True:
+        try:
+            op, arg = conn.recv()
+        except EOFError:
+            return
+        if op == "stop":
+            return
+        if failure is not None:
+            conn.send(("error", failure))
+            continue
+        try:
+            if op == "expand":
+                # Through the module global, so a wrapped
+                # ``_expand_frontier_shard`` sees every level.
+                reply = _expand_frontier_shard(arg)
+            elif op == "locate":
+                reply = _locate_successor(*arg)
+            else:
+                reply = _has_enabled(arg)
+        except Exception:
+            conn.send(("error", traceback.format_exc()))
+        else:
+            conn.send(("ok", reply))
+
+
+# -- parent side ---------------------------------------------------------
 
 
 class FrontierPool:
-    """A persistent worker pool expanding BFS levels for one search.
+    """``workers`` spawned processes holding one search's frontier.
 
     Mirrors :meth:`repro.checker.statespace.StateSpaceEngine.
     expand_level`'s contract so the serial and sharded paths are
-    interchangeable inside ``explore_fast``; the parent keeps sole
-    ownership of the global visited set and applies shard results in
-    shard order.
+    interchangeable inside ``explore_fast``.  The parent keeps sole
+    ownership of the global visited set; once the first level is handed
+    off, ``next_items`` receives ``(None, None, None, key, mask)``
+    handles, and the items themselves live in the workers.
     """
 
     def __init__(self, engine, workers: int,
-                 spill_dir: Optional[str] = None,
-                 protocol_factory: Optional[Callable[[], Any]] = None,
-                 mp_context: str = "spawn") -> None:
+                 protocol_factory: Optional[Callable[[], Any]] = None) \
+            -> None:
         import multiprocessing
 
         factory = protocol_factory
@@ -178,96 +271,182 @@ class FrontierPool:
                 f"ProtocolSpec) [pickle said: {exc}]") from exc
         self.engine = engine
         self.workers = workers
-        self.spill_dir = spill_dir
-        self._spill_seq = 0
-        ctx = multiprocessing.get_context(mp_context)
-        self._pool = ctx.Pool(processes=workers,
-                              initializer=_init_frontier_worker,
-                              initargs=(spec,))
+        #: Resident slice size per worker (``None`` before the handoff).
+        self._sizes: Optional[List[int]] = None
+        #: The admit reply owed to each worker for its last level.
+        self._admit: List[Any] = [None] * workers
+        self._procs: List[Any] = []
+        self._conns: List[Any] = []
+        ctx = multiprocessing.get_context("spawn")
+        try:
+            for i in range(workers):
+                parent_end, child_end = ctx.Pipe()
+                proc = ctx.Process(target=_frontier_worker,
+                                   args=(child_end, spec),
+                                   name=f"frontier-{i}", daemon=True)
+                proc.start()
+                child_end.close()
+                self._procs.append(proc)
+                self._conns.append(parent_end)
+        except BaseException:
+            self.close()
+            raise
 
     def close(self) -> None:
-        self._pool.terminate()
-        self._pool.join()
+        """Stop and join every worker; terminate any that linger."""
+        for conn in self._conns:
+            try:
+                conn.send(("stop", None))
+            except OSError:
+                pass
+        deadline = time.monotonic() + STOP_GRACE_S
+        for proc in self._procs:
+            proc.join(max(0.0, deadline - time.monotonic()))
+            if proc.is_alive():
+                proc.terminate()
+                proc.join()
+        for conn in self._conns:
+            conn.close()
+        self._procs = []
+        self._conns = []
 
-    def _make_tasks(self, items: Sequence[Tuple],
-                    depth: int) -> Tuple[List[FrontierShardTask], List[str]]:
-        decoded = [self.engine.decode_item(item) for item in items]
-        n_shards = max(1, min(self.workers * OVERSHARD,
-                              len(decoded) // MIN_ITEMS_PER_SHARD or 1))
-        chunk = (len(decoded) + n_shards - 1) // n_shards
-        tasks: List[FrontierShardTask] = []
-        spill_paths: List[str] = []
-        for shard, start in enumerate(range(0, len(decoded), chunk)):
-            payload = tuple(decoded[start:start + chunk])
-            if self.spill_dir is not None:
-                self._spill_seq += 1
-                path = os.path.join(
-                    self.spill_dir,
-                    f"frontier-{os.getpid()}-d{depth}-"
-                    f"{self._spill_seq}.pkl")
-                with open(path, "wb") as fh:
-                    pickle.dump(payload, fh)
-                spill_paths.append(path)
-                tasks.append(FrontierShardTask(shard, depth, None, path))
-            else:
-                tasks.append(FrontierShardTask(shard, depth, payload))
-        return tasks, spill_paths
+    def _call(self, requests: Sequence[Tuple[int, str, Any]],
+              depth: int) -> List[Any]:
+        """Send ``(worker, op, arg)`` requests, then collect the replies
+        in request order."""
+        for worker, op, arg in requests:
+            try:
+                self._conns[worker].send((op, arg))
+            except OSError as exc:
+                raise self._died(worker, depth) from exc
+        replies = []
+        for worker, _, _ in requests:
+            try:
+                status, payload = self._conns[worker].recv()
+            except (EOFError, OSError) as exc:
+                raise self._died(worker, depth) from exc
+            if status == "error":
+                raise FrontierWorkerError(
+                    f"frontier worker {worker} failed at depth {depth}:\n"
+                    f"{payload}")
+            replies.append(payload)
+        return replies
+
+    def _died(self, worker: int, depth: int) -> FrontierWorkerError:
+        proc = self._procs[worker]
+        proc.join(STOP_GRACE_S)
+        return FrontierWorkerError(
+            f"frontier worker {worker} (pid {proc.pid}) died at depth "
+            f"{depth} (exit code {proc.exitcode})")
 
     def expand_level(self, items: Sequence[Tuple], visited,
                      next_items: List[Tuple], depth: int,
                      max_states: Optional[int]) -> Tuple:
-        """Expand ``items`` via the pool; merge results in shard order.
+        """Expand the resident level; merge the results in worker order.
 
-        Same return shape as the engine's ``expand_level``; a state-
-        budget refusal reports ``stopped = len(items)`` (the whole level
-        was expanded, but not every successor could be admitted).
+        Same return shape as the engine's ``expand_level``.  ``items``
+        is read only on the first call, which hands the packed level to
+        the workers; later calls get the handles this method appended.
         """
         engine = self.engine
-        tasks, spill_paths = self._make_tasks(items, depth)
-        try:
-            results = self._pool.map(_expand_frontier_shard, tasks)
-        finally:
-            for path in spill_paths:
-                try:
-                    os.remove(path)
-                except OSError:
-                    pass
+        workers = self.workers
+        if self._sizes is None:
+            bounds = [len(items) * w // workers for w in range(workers + 1)]
+            self._sizes = [bounds[w + 1] - bounds[w] for w in range(workers)]
+            tasks = [FrontierShardTask(depth, items=tuple(
+                         engine.decode_item(item)
+                         for item in items[bounds[w]:bounds[w + 1]]))
+                     for w in range(workers)]
+        else:
+            tasks = [FrontierShardTask(depth, admit=self._admit[w])
+                     for w in range(workers)]
+        results = self._call([(w, "expand", task)
+                              for w, task in enumerate(tasks)], depth)
+
         edges = 0
         pruned = 0
         violations: List[Tuple] = []
-        por = engine.por
-        exact = engine.exact
-        for result in results:
+        offset = 0
+        for w, result in enumerate(results):
             edges += result.edges
             pruned += result.pruned
-            if result.violations and not violations:
+            keys = result.successors
+            if engine.exact:
+                keys = [engine.encode_item(key + (0,))[3] for key in keys]
+            if engine.por:
+                reply, kept, refused = _merge_masks(
+                    keys, result.masks, visited, next_items, max_states)
+            else:
+                reply, kept, refused = _merge_keys(
+                    keys, visited, next_items, max_states)
+            if refused is not None:
+                local = self._call([(w, "locate", (refused, depth))],
+                                   depth)[0]
+                return edges, pruned, violations, offset + local
+            offset += self._sizes[w]
+            self._sizes[w] = kept
+            self._admit[w] = reply
+            if result.violations:
                 violations.extend(result.violations)
-            for states, regs, mem, mask, fp in result.successors:
-                if not exact and not por and fp in visited:
-                    continue
-                packed = engine.encode_item((states, regs, mem, mask))
-                key = packed[3]
-                if por:
-                    old = visited.get(key)
-                    if old is None:
-                        if max_states is not None \
-                                and len(visited) >= max_states:
-                            return edges, pruned, violations, len(items)
-                        visited[key] = mask
-                        next_items.append(packed)
-                    elif old & mask != old:
-                        merged = old & mask
-                        visited[key] = merged
-                        next_items.append(packed[:4] + (merged,))
-                else:
-                    if key in visited:
-                        continue
-                    if max_states is not None \
-                            and len(visited) >= max_states:
-                        return edges, pruned, violations, len(items)
-                    visited.add(key)
-                    next_items.append(packed)
+                break
         return edges, pruned, violations, None
+
+    def has_enabled(self, depth: int) -> bool:
+        """Does any resident item still have a step (frontier liveness)?"""
+        replies = self._call([(w, "has_enabled", self._admit[w])
+                              for w in range(self.workers)], depth)
+        return any(replies)
+
+
+def _merge_keys(keys: Sequence, visited, next_items: List[Tuple],
+                max_states: Optional[int]) -> Tuple:
+    """Admit one worker's new keys into ``visited`` (no POR).
+
+    Returns ``(reply, kept, refused)``: 0/1 admit flags per key, how
+    many were admitted, and the index of the key the state budget
+    refused (else ``None``).
+    """
+    reply = bytearray(len(keys))
+    append = next_items.append
+    kept = 0
+    for j, key in enumerate(keys):
+        if key in visited:
+            continue
+        if max_states is not None and len(visited) >= max_states:
+            return reply, kept, j
+        visited.add(key)
+        reply[j] = 1
+        kept += 1
+        append((None, None, None, key, 0))
+    return bytes(reply), kept, None
+
+
+def _merge_masks(keys: Sequence, masks: array, visited,
+                 next_items: List[Tuple], max_states: Optional[int]) -> Tuple:
+    """POR counterpart of :func:`_merge_keys` over a ``{key: mask}`` map.
+
+    A revisit whose merged sleep mask shrinks is re-admitted with the
+    merged mask, exactly as the serial expansion re-appends it; the
+    reply carries the mask each admitted successor continues with.
+    """
+    reply = array("q", [-1]) * len(keys)
+    append = next_items.append
+    kept = 0
+    for j, key in enumerate(keys):
+        mask = masks[j]
+        old = visited.get(key)
+        if old is None:
+            if max_states is not None and len(visited) >= max_states:
+                return reply, kept, j
+        elif old & mask != old:
+            mask &= old
+        else:
+            continue
+        visited[key] = mask
+        reply[j] = mask
+        kept += 1
+        append((None, None, None, key, mask))
+    return reply, kept, None
 
 
 @dataclasses.dataclass(frozen=True)

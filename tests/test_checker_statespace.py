@@ -12,7 +12,12 @@ in fingerprint and exact modes, serial and sharded.
 
 from __future__ import annotations
 
+import functools
 import json
+import multiprocessing
+import os
+import signal
+import time
 
 import pytest
 
@@ -21,9 +26,11 @@ from repro.checker import statespace
 from repro.core.deterministic import TwoProcessDeterministic
 from repro.core.naive import NaiveProtocol
 from repro.core.three_bounded import ThreeBoundedProtocol
+from repro.core.three_unbounded import ThreeUnboundedProtocol
 from repro.core.two_process import TwoProcessProtocol
 from repro.obs.telemetry import read_telemetry, render_top
 from repro.obs.tracing import Tracer
+from repro.parallel.frontier import FrontierPool, FrontierWorkerError
 from repro.parallel.tasks import ProtocolSpec
 
 # (label, factory, inputs, memory) — exhaustible cells spanning the
@@ -125,26 +132,121 @@ class TestViolationParity:
         assert report.witness is not None
 
 
+# (label, factory, inputs, explore_fast kwargs, how the search ends,
+# report fields that must match serial).  The plain fingerprint/atomic
+# cell is test_workers_visit_identical_fingerprint_set.  Under a state
+# budget the sharded edge count covers whole worker slices, so only the
+# visited set and frontier are pinned.
+_FULL = ("visited", "edges", "depth", "exhausted", "truncated_by",
+         "frontier", "ok", "fingerprints")
+_BUDGET = ("visited", "truncated_by", "frontier", "ok", "fingerprints")
+SHARDED_CELLS = [
+    ("exact", ProtocolSpec("naive", 3), ("a", "b", "a"),
+     {"exact": True}, None, _FULL),
+    ("regular", ProtocolSpec("naive", 3), ("a", "b", "a"),
+     {"memory": "regular"}, None, _FULL),
+    ("por", ProtocolSpec("naive", 3), ("a", "b", "a"),
+     {"por": True}, None, _FULL + ("pruned",)),
+    ("symmetry-two", ProtocolSpec("two"), ("a", "b"),
+     {"symmetry": True}, None, _FULL + ("symmetry_order",)),
+    ("depth-cutoff", ProtocolSpec("naive", 3), ("a", "b", "a"),
+     {"memory": "regular", "max_depth": 10}, "depth", _FULL),
+    ("state-budget", ProtocolSpec("naive", 3), ("a", "b", "a"),
+     {"max_states": 1000}, "states", _BUDGET),
+    ("state-budget-por", ProtocolSpec("naive", 3), ("a", "b", "a"),
+     {"por": True, "max_states": 1000}, "states", _BUDGET),
+]
+
+
+@pytest.fixture
+def pool_levels(monkeypatch):
+    """Force the worker path on small models; count the levels it runs."""
+    monkeypatch.setattr(statespace, "MIN_PARALLEL_LEVEL", 4)
+    levels = []
+    original = FrontierPool.expand_level
+
+    def counting(self, *args):
+        levels.append(len(args[0]))
+        return original(self, *args)
+
+    monkeypatch.setattr(FrontierPool, "expand_level", counting)
+    return levels
+
+
+def _frontier_children():
+    return [p for p in multiprocessing.active_children()
+            if p.name.startswith("frontier-")]
+
+
 class TestShardedFrontier:
-    def test_workers_visit_identical_fingerprint_set(self, monkeypatch,
-                                                     tmp_path):
-        # Force the pool path on a small model so the test stays fast.
-        monkeypatch.setattr(statespace, "MIN_PARALLEL_LEVEL", 4)
+    def test_workers_visit_identical_fingerprint_set(self, pool_levels):
         serial = explore_fast(NaiveProtocol(3), ("a", "b", "a"),
                               keep_fingerprints=True)
         sharded = explore_fast(
             NaiveProtocol(3), ("a", "b", "a"), workers=2,
             protocol_factory=ProtocolSpec("naive", 3),
             keep_fingerprints=True)
-        spilled = explore_fast(
-            NaiveProtocol(3), ("a", "b", "a"), workers=2,
-            protocol_factory=ProtocolSpec("naive", 3),
-            spill_dir=str(tmp_path), keep_fingerprints=True)
+        assert pool_levels
         assert sharded.workers == 2
-        assert serial.exhausted and sharded.exhausted and spilled.exhausted
+        assert serial.exhausted and sharded.exhausted
         assert serial.fingerprints == sharded.fingerprints
-        assert serial.fingerprints == spilled.fingerprints
-        assert serial.edges == sharded.edges == spilled.edges
+        assert serial.edges == sharded.edges
+
+    @pytest.mark.parametrize(
+        "label,factory,inputs,kwargs,truncated_by,fields",
+        SHARDED_CELLS, ids=[c[0] for c in SHARDED_CELLS])
+    def test_two_workers_match_serial(self, pool_levels, label, factory,
+                                      inputs, kwargs, truncated_by, fields):
+        serial = explore_fast(factory(), inputs, keep_fingerprints=True,
+                              **kwargs)
+        sharded = explore_fast(factory(), inputs, workers=2,
+                               protocol_factory=factory,
+                               keep_fingerprints=True, **kwargs)
+        assert len(pool_levels) >= 2, "the worker path never ran"
+        assert serial.ok and serial.truncated_by == truncated_by
+        assert serial.exhausted == (truncated_by is None)
+        for field in fields:
+            assert getattr(sharded, field) == getattr(serial, field), field
+
+    def test_violating_protocol_is_not_ok(self, pool_levels):
+        # Finding F1: the literal Figure 2 rule breaks consistency.
+        factory = functools.partial(ThreeUnboundedProtocol,
+                                    decision_rule="literal")
+        sharded = explore_fast(factory(), ("a", "b", "a"), workers=2,
+                               protocol_factory=factory)
+        assert pool_levels
+        assert not sharded.ok
+        assert sharded.truncated_by == "violation"
+        assert "consistency" in sharded.violation
+        assert sharded.witness is not None
+
+    def test_killed_worker_raises_instead_of_hanging(self, pool_levels,
+                                                     monkeypatch):
+        counting = FrontierPool.expand_level
+
+        def kill_then_expand(self, *args):
+            if len(pool_levels) == 1:
+                victim, = [p for p in _frontier_children()
+                           if p.name == "frontier-1"]
+                os.kill(victim.pid, signal.SIGKILL)
+            return counting(self, *args)
+
+        monkeypatch.setattr(FrontierPool, "expand_level", kill_then_expand)
+        t0 = time.monotonic()
+        with pytest.raises(FrontierWorkerError,
+                           match=r"worker 1 .*died at depth \d+"):
+            explore_fast(NaiveProtocol(3), ("a", "b", "a"), workers=2,
+                         protocol_factory=ProtocolSpec("naive", 3))
+        assert time.monotonic() - t0 < 10
+        assert len(pool_levels) == 2
+        assert _frontier_children() == []
+
+    def test_worker_failure_names_worker_and_depth(self, pool_levels):
+        with pytest.raises(FrontierWorkerError,
+                           match=r"worker 0 failed at depth \d+"):
+            explore_fast(NaiveProtocol(3), ("a", "b", "a"), workers=2,
+                         protocol_factory=ProtocolSpec("no-such-protocol"))
+        assert _frontier_children() == []
 
     def test_workers_rejects_nonpositive(self):
         with pytest.raises(ValueError):
