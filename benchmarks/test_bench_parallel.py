@@ -17,7 +17,6 @@ recorded in ``BENCH_parallel.json`` for the perf trajectory.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import time
 
@@ -43,12 +42,6 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def pick_context() -> str:
-    """Fastest available start method (what a perf-minded caller picks)."""
-    return ("fork" if "fork" in multiprocessing.get_all_start_methods()
-            else "spawn")
-
-
 def make_runner(registry=None):
     return ExperimentRunner(
         protocol_factory=ProtocolSpec("two", 2),
@@ -61,7 +54,6 @@ def make_runner(registry=None):
 
 def test_bench_parallel_speedup_and_exactness(benchmark, report, tmp_path):
     cpus = usable_cpus()
-    mp_context = pick_context()
     make_runner().run_many(500, max_steps=MAX_STEPS)  # warmup
 
     def run_both():
@@ -74,8 +66,7 @@ def test_bench_parallel_speedup_and_exactness(benchmark, report, tmp_path):
         parallel_reg = MetricsRegistry()
         t0 = time.perf_counter()
         parallel_stats = make_runner(parallel_reg).run_many(
-            N_RUNS, max_steps=MAX_STEPS, workers=WORKERS,
-            mp_context=mp_context)
+            N_RUNS, max_steps=MAX_STEPS, workers=WORKERS)
         t_parallel = time.perf_counter() - t0
         return (serial_stats, serial_reg, t_serial,
                 parallel_stats, parallel_reg, t_parallel)
@@ -97,8 +88,7 @@ def test_bench_parallel_speedup_and_exactness(benchmark, report, tmp_path):
     js = make_runner().run_many(JOURNAL_RUNS, max_steps=MAX_STEPS,
                                 journal_path=ser_path)
     jp = make_runner().run_many(JOURNAL_RUNS, max_steps=MAX_STEPS,
-                                workers=WORKERS, journal_path=par_path,
-                                mp_context=mp_context)
+                                workers=WORKERS, journal_path=par_path)
     with open(ser_path, "rb") as fh:
         serial_journal = fh.read()
     with open(par_path, "rb") as fh:
@@ -112,7 +102,7 @@ def test_bench_parallel_speedup_and_exactness(benchmark, report, tmp_path):
 
     report.add_table(
         f"E-par: sharded batch engine, {N_RUNS}-run two-processor batch "
-        f"({WORKERS} workers, {mp_context} start, {cpus} CPUs usable)",
+        f"({WORKERS} workers, spawn start, {cpus} CPUs usable)",
         header=("configuration", "wall time", "steps/s", "speedup"),
         rows=[
             ("serial (workers=1)", f"{t_serial:.3f}s",
@@ -145,7 +135,7 @@ def test_bench_parallel_speedup_and_exactness(benchmark, report, tmp_path):
         "n_runs": N_RUNS,
         "total_steps": total_steps,
         "workers": WORKERS,
-        "mp_context": mp_context,
+        "start_method": "spawn",
         "usable_cpus": cpus,
         "seconds_serial": t_serial,
         "seconds_parallel": t_parallel,

@@ -1,24 +1,23 @@
 """E-robustness — supervision overhead and crash-recovery latency.
 
-PR 10's tentpole added the fault-tolerant sweep supervisor
-(:mod:`repro.parallel.supervisor`): per-shard watchdogs, bounded
-deterministic retries, and quarantine.  Supervision must be close to
-free when nothing goes wrong — the supervisor replaces the pool's
-``imap_unordered`` with per-shard processes plus a polling reaper, and
-this benchmark gates that the fault-free supervised sweep stays within
-``MAX_OVERHEAD`` of the plain parallel engine on the same geometry.
-It also measures (without gating — recovery cost depends on where in
-the shard the crash lands) the wall-clock price of one injected worker
-crash: the supervisor detects the dead process, re-executes the shard,
-and still merges a bit-identical result.
+Every sharded sweep runs on one executor
+(:func:`repro.parallel.engine.run_parallel`): persistent spawned
+workers, each shard attempt supervised.  With no policy the executor
+fails fast; a :class:`~repro.parallel.supervisor.SupervisorPolicy`
+adds retries, degradation and quarantine.  That policy must be close
+to free when nothing goes wrong, and this benchmark gates that the
+fault-free sweep under ``SupervisorPolicy()`` stays within
+``MAX_OVERHEAD`` of the same sweep with ``policy=None`` on the same
+geometry.  It also measures (without gating — recovery cost depends
+on where in the shard the crash lands) the wall-clock price of one
+injected worker crash: the executor detects the dead worker, replaces
+it, re-executes the shard, and still merges a bit-identical result.
 
 Methodology: one untimed supervised sweep first asserts bit-identical
-runs/metrics against the plain engine and warms caches.  Timed sweeps
-then run journal- and telemetry-free on the fork context (worker
-startup is process creation, which is what supervision could plausibly
-tax; fork keeps the non-supervision share of it small and equal on
-both sides).  Wall times are best-of-``REPS``; the overhead gate is
-in-process (both sides measured in the same session on the same host).
+runs/metrics against the ``policy=None`` sweep and warms caches.  Timed
+sweeps then run journal- and telemetry-free.  Wall times are
+best-of-``REPS``; the overhead gate is in-process (both sides measured
+in the same session on the same host).
 Recovery latency is reported as (crashy supervised walltime) minus
 (best clean supervised walltime) for a crash injected at shard 0's
 first attempt, retried with near-zero backoff.
@@ -26,7 +25,6 @@ first attempt, retried with near-zero backoff.
 
 from __future__ import annotations
 
-import multiprocessing
 from time import perf_counter
 
 from conftest import dump_bench
@@ -43,14 +41,11 @@ MAX_STEPS = 2_000
 WORKERS = 2
 REPS = 3
 SEED = 2026
-# ISSUE 10 acceptance gate: fault-free supervised sweeps cost at most
-# 5% over the plain parallel engine.
+# Acceptance gate: a fault-free sweep under SupervisorPolicy() costs at
+# most 5% over the same sweep with policy=None.
 MAX_OVERHEAD = 1.05
 
 INPUTS = ("a", "b", "b")
-
-MP = "fork" if "fork" in multiprocessing.get_all_start_methods() \
-    else "spawn"
 
 
 def make_runner():
@@ -66,15 +61,14 @@ def make_runner():
 def timed_sweep(supervise, fault_plan=None):
     """One parallel sweep; returns (seconds, stats, metrics dict)."""
     runner = make_runner()
-    policy = None
+    policy = SupervisorPolicy() if supervise else None
     if fault_plan is not None:
         # Near-zero backoff so the measured recovery latency is
         # detection + re-execution, not a sleep we chose ourselves.
         policy = SupervisorPolicy(backoff_base=0.001, backoff_cap=0.002)
     t0 = perf_counter()
     stats = runner.run_many(N_RUNS, max_steps=MAX_STEPS, workers=WORKERS,
-                            shard_size=SHARD, mp_context=MP,
-                            supervise=supervise, policy=policy,
+                            shard_size=SHARD, policy=policy,
                             fault_plan=fault_plan)
     seconds = perf_counter() - t0
     return seconds, stats, runner.metrics.to_dict()
@@ -97,8 +91,8 @@ def test_bench_supervision_overhead(benchmark, report):
                 best_plain = t_plain
             if best_sup is None or t_sup < best_sup:
                 best_sup = t_sup
-        # One crash at shard 0's first attempt; the supervisor reaps
-        # the dead process and re-executes the shard.
+        # One crash at shard 0's first attempt; the executor replaces
+        # the dead worker and re-executes the shard.
         crash_plan = FaultPlan.build({(0, 0): FaultAction("crash")})
         t_crash, crash_stats, crash_metrics = timed_sweep(
             supervise=True, fault_plan=crash_plan)
@@ -129,7 +123,7 @@ def test_bench_supervision_overhead(benchmark, report):
                 "overhead_ratio": overhead,
                 "workers": WORKERS,
                 "n_shards": N_RUNS // SHARD,
-                "mp_context": MP,
+                "start_method": "spawn",
                 "reps": REPS,
             },
             "recovery": {
@@ -142,18 +136,18 @@ def test_bench_supervision_overhead(benchmark, report):
     )
 
     report.add_table(
-        f"E-robustness: supervised vs plain parallel sweep "
+        f"E-robustness: SupervisorPolicy() vs policy=None sweep "
         f"({N_RUNS:,} runs, {WORKERS} workers)",
-        header=("sweep", "seconds", "vs plain"),
+        header=("sweep", "seconds", "vs policy=None"),
         rows=[
-            ("plain run_many", f"{t_plain:.3f}", "1.00x"),
+            ("policy=None", f"{t_plain:.3f}", "1.00x"),
             ("supervised, fault-free", f"{t_sup:.3f}",
              f"{overhead:.2f}x"),
             ("supervised, one worker crash", f"{t_crash:.3f}",
              f"(+{recovery:.3f}s recovery)"),
         ],
         note=("Supervised and crash-retried sweeps are asserted "
-              "bit-identical to the plain\nengine before timing is "
+              "bit-identical to the policy=None\nsweep before timing is "
               f"reported.  Gate: fault-free overhead <= "
               f"{MAX_OVERHEAD:.2f}x in-process;\nrecovery latency is "
               "recorded in BENCH_robustness.json, not gated."),
@@ -164,5 +158,5 @@ def test_bench_supervision_overhead(benchmark, report):
     # CI regression gate (see .github/workflows/ci.yml chaos-smoke).
     assert overhead <= MAX_OVERHEAD, (
         f"fault-free supervised sweep costs {overhead:.3f}x over the "
-        f"plain engine (gate {MAX_OVERHEAD:.2f}x)"
+        f"policy=None sweep (gate {MAX_OVERHEAD:.2f}x)"
     )

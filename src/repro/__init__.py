@@ -47,7 +47,7 @@ Package map
     sweeps, warm-cache repeats, checksummed self-healing shards — see
     ``docs/STORE.md``.
 ``repro.parallel``
-    Sharded multi-process sweeps, plus the fault-tolerant supervisor
+    Sharded multi-process sweeps on supervised persistent workers
     (watchdogs, deterministic retries, quarantine) — see
     ``docs/ROBUSTNESS.md``.
 ``repro.faults``
@@ -83,7 +83,7 @@ from repro.errors import (
 from repro.faults import FaultAction, FaultPlan, InjectedFault
 from repro.obs import JsonlJournal, MetricsRegistry, PhaseTimer
 from repro.parallel.supervisor import (FaultReport, SupervisorError,
-                                       SupervisorPolicy, run_supervised)
+                                       SupervisorPolicy)
 from repro.sim import BOTTOM, ExperimentRunner, ReplayableRng, Simulation
 from repro.spec import ObsOptions, RunSpec, SpecError
 from repro.store import RunStore, ShardVerdict, StoreError, StoreStats
@@ -126,5 +126,4 @@ __all__ = [
     "SupervisorError",
     "SupervisorPolicy",
     "__version__",
-    "run_supervised",
 ]

@@ -626,7 +626,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
         journal_path=args.journal,
         telemetry_path=args.telemetry,
         store=store,
-        supervise=supervise,
         policy=policy,
     )
 
@@ -857,10 +856,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", metavar="PATH", default=None,
                    help="also dump an ExperimentRecord JSON file to PATH")
     p.add_argument("--supervised", action="store_true",
-                   help="run shards under the fault-tolerant "
-                        "supervisor: watchdogs, bounded deterministic "
-                        "retries, quarantine instead of sweep death — "
-                        "results stay bit-identical (docs/ROBUSTNESS.md)")
+                   help="recover from shard faults instead of failing "
+                        "on the first one: watchdogs, bounded "
+                        "deterministic retries, quarantine instead of "
+                        "sweep death — results stay bit-identical "
+                        "(docs/ROBUSTNESS.md)")
     p.add_argument("--shard-timeout", type=float, default=None,
                    metavar="SECONDS",
                    help="kill and retry any shard attempt exceeding "

@@ -1,4 +1,4 @@
-"""Deterministic, replayable fault injection for supervised sweeps.
+"""Deterministic, replayable fault injection for sharded sweeps.
 
 The paper's subject is coordination that survives adversarial
 asynchrony; this module turns our *own* infrastructure failures into
@@ -23,7 +23,8 @@ shard start inside the worker process via
 :func:`trigger_worker_fault`; store-side kinds (``corrupt``/
 ``commit-fail``) are applied by the supervising parent around the
 shard commit.  Nothing here ever fires unless a plan is explicitly
-passed to :func:`repro.parallel.supervisor.run_supervised`.
+passed to :func:`repro.parallel.engine.run_parallel` (or
+``run_many(fault_plan=...)``).
 """
 
 from __future__ import annotations
@@ -100,8 +101,7 @@ class FaultPlan:
     """A replayable schedule of faults, keyed ``(shard_index, attempt)``.
 
     ``entries`` is a sorted tuple of ``((shard, attempt), action)``
-    pairs (a frozen, picklable stand-in for a dict — the plan crosses
-    the spawn boundary with every shard task).  ``spec_hash`` optionally
+    pairs (a frozen, picklable stand-in for a dict).  ``spec_hash`` optionally
     scopes the plan to one sweep: a supervisor running a different spec
     ignores it entirely, so a plan can ride along in shared fixtures
     without leaking faults into unrelated sweeps.
@@ -168,7 +168,7 @@ class FaultPlan:
 def trigger_worker_fault(action: FaultAction) -> None:
     """Execute a worker-side fault inside the worker process.
 
-    Called by the supervised shard entry point *before* the shard does
+    Called by the shard worker loop *before* the shard does
     any work, so a crash or hang never leaves a half-observed metrics
     registry behind.  ``slow`` returns normally after its delay — the
     shard then runs to completion.

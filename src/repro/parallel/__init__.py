@@ -7,23 +7,28 @@ takes run counts that are slow in a single process.  Runs are
 independent experiments keyed by ``derive_seed(root_seed, "run", i)``,
 so they shard across processes with bit-identical results:
 
-* :mod:`repro.parallel.engine` — :func:`run_parallel` splits the run
-  index range into contiguous shards, executes each in a
-  ``multiprocessing`` worker with its own metrics registry / journal
-  shard, and deterministically merges everything back into one
+* :mod:`repro.parallel.engine` — :func:`run_parallel`, the one sharded
+  executor: it splits the run index range into contiguous shards, runs
+  them on persistent spawned workers (each shard with its own metrics
+  registry / journal shard, heartbeats streamed back over the worker's
+  pipe), and deterministically merges everything back into one
   :class:`~repro.sim.runner.BatchStats`.
-* :mod:`repro.parallel.supervisor` — :func:`run_supervised`, the
-  fault-tolerant sibling: each shard in its own watched child process
-  with deterministic bounded retries, engine degradation, and
-  quarantine — same bit-identical merge, plus a structured
-  :class:`FaultReport` (see ``docs/ROBUSTNESS.md``).
+* :mod:`repro.parallel.supervisor` — how the executor reacts to a
+  faulting shard: :class:`SupervisorPolicy` (watchdog, deterministic
+  bounded retries, engine degradation, quarantine; fail-fast by
+  default, so a dead worker raises instead of hanging) and the
+  structured :class:`FaultReport` (see ``docs/ROBUSTNESS.md``).
+* :mod:`repro.parallel.workers` — ``Workers``, spawned worker
+  processes addressed by index with one duplex pipe each, shared by
+  the executor and the checker's frontier pool
+  (:mod:`repro.parallel.frontier`).
 * :mod:`repro.parallel.tasks` — picklable factory specs
   (:class:`ProtocolSpec`, :class:`SchedulerSpec`,
   :class:`ConstantInputs`) so task descriptions survive the ``spawn``
   boundary.
 
 Most callers never import this package directly: pass ``workers=N``
-(and ``supervise=True``) to :meth:`ExperimentRunner.run_many` or
+(and a ``policy``) to :meth:`ExperimentRunner.run_many` or
 ``--workers N`` / ``--supervised`` to ``repro report``.  See
 ``docs/EXPERIMENTS.md`` for the sharding contract and benchmark
 results.
@@ -43,7 +48,6 @@ from repro.parallel.supervisor import (
     FaultReport,
     SupervisorError,
     SupervisorPolicy,
-    run_supervised,
 )
 from repro.parallel.tasks import (
     PROTOCOL_NAMES,
@@ -65,7 +69,6 @@ __all__ = [
     "FaultReport",
     "SupervisorError",
     "SupervisorPolicy",
-    "run_supervised",
     "ConstantInputs",
     "ProtocolSpec",
     "SchedulerSpec",

@@ -1,4 +1,4 @@
-"""Process-pool execution engine for Monte-Carlo batches.
+"""The sharded executor for Monte-Carlo batches.
 
 Runs in a batch are independent coin-flip experiments: every stochastic
 stream of run ``i`` derives from ``derive_seed(root_seed, "run", i)``
@@ -10,7 +10,16 @@ shards, execute each shard in a worker process, and merge the shards
 back in index order.  The merged result is bit-identical to a serial
 run with the same root seed, at any worker count and any shard size.
 
-Each worker observes its shard with its own
+:func:`run_parallel` is the one sharded path.  It runs the shards on
+persistent spawned workers (:mod:`repro.parallel.workers`), one duplex
+pipe each, and supervises every shard attempt: a watchdog, retries,
+engine degradation and quarantine per
+:class:`~repro.parallel.supervisor.SupervisorPolicy`.  Without a
+policy it fails fast: the first fault raises
+:class:`~repro.parallel.supervisor.SupervisorError` naming the shard —
+a worker that dies mid-batch raises instead of hanging the sweep.
+
+Each shard is observed with its own
 :class:`~repro.obs.metrics.MetricsRegistry` (and, when asked, its own
 JSONL journal shard).  The merge step is deterministic:
 
@@ -26,28 +35,29 @@ JSONL journal shard).  The merge step is deterministic:
 
 Task specs must pickle (the engine checks up front and raises a
 descriptive error otherwise): use module-level factory functions or the
-spec classes in :mod:`repro.parallel.tasks`.  The default start method
-is ``spawn`` — the only method that is safe on every platform — so
-workers re-import the library rather than inheriting interpreter state.
-On POSIX hosts ``mp_context="fork"`` skips the per-worker interpreter
-start-up and is measurably faster for short batches.
+spec classes in :mod:`repro.parallel.tasks`.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
-import multiprocessing
 import os
 import pickle
-import queue as queue_module
-from typing import Any, Callable, Hashable, List, Optional, Sequence, Tuple
+import time
+import traceback
+from multiprocessing.connection import wait
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.engines import SIM, default_engine, resolve_sim_engine
+from repro.engines import resolve_sim_engine
+from repro.faults import FaultPlan, corrupt_file, trigger_worker_fault
 from repro.obs.journal import JsonlJournal, concatenate_journals
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.telemetry import TelemetryEmitter, file_sink
+from repro.parallel.supervisor import (FaultEvent, FaultReport,
+                                       SupervisorError, SupervisorPolicy,
+                                       _degraded_engine)
+from repro.parallel.workers import Workers
 from repro.sim.memory import ATOMIC, MemorySpec
 
 
@@ -64,9 +74,6 @@ class BatchSpec:
     inputs_factory: Callable
     seed: int
     strict: bool = False
-    #: Deprecated boolean alias for ``engine`` (``True`` → ``"fast"``,
-    #: ``False`` → ``"reference"``); passing it warns at construction.
-    fast: Optional[bool] = None
     #: Register semantics of every run (picklable; see repro.sim.memory).
     memory: MemorySpec = ATOMIC
     #: Execution backend name, resolved through the engine registry
@@ -76,19 +83,14 @@ class BatchSpec:
     engine: Optional[str] = None
 
     def __post_init__(self) -> None:
-        # Validate (and warn for the deprecated alias) once, in the
-        # submitting process; workers rebuild specs via pickle, which
-        # skips __init__, so neither fires again per shard.
-        resolve_sim_engine(self.engine, self.fast, caller="BatchSpec")
+        # Validate once, in the submitting process; workers rebuild
+        # specs via pickle, which skips __init__.
+        resolve_sim_engine(self.engine)
 
     @property
     def resolved_engine(self) -> str:
-        """The effective engine name (alias applied, default filled)."""
-        if self.engine is not None:
-            return self.engine
-        if self.fast is not None:
-            return "fast" if self.fast else "reference"
-        return default_engine(SIM).name
+        """The effective engine name (default filled in)."""
+        return resolve_sim_engine(self.engine).name
 
 
 @dataclasses.dataclass(frozen=True)
@@ -103,12 +105,8 @@ class ShardTask:
     journal_path: Optional[str] = None
     #: Position of this shard in the batch plan (heartbeat identity).
     shard_index: int = 0
-    #: Anything with a ``put(dict)`` method — a ``multiprocessing``
-    #: manager queue proxy in sharded sweeps (proxies pickle), or the
-    #: in-process :class:`_FileChannel` — receiving live heartbeat
-    #: dicts (see :mod:`repro.obs.telemetry`).  ``None`` disables
-    #: telemetry for the shard.
-    telemetry_queue: Optional[Any] = None
+    #: Stream live heartbeats (see :mod:`repro.obs.telemetry`).
+    telemetry: bool = False
 
 
 @dataclasses.dataclass
@@ -129,8 +127,8 @@ def plan_shards(n_runs: int, workers: int,
     The default shard size is ``ceil(n_runs / workers)`` — one shard
     per worker, the lowest-overhead choice for uniform runs.  Pass a
     smaller ``shard_size`` when per-run cost varies (adversarial
-    schedulers, mixed inputs) so the pool can load-balance; results are
-    identical either way.
+    schedulers, mixed inputs) so the workers can load-balance; results
+    are identical either way.
     """
     if n_runs < 0:
         raise ValueError(f"n_runs must be >= 0, got {n_runs}")
@@ -147,13 +145,15 @@ def shard_journal_path(journal_path: str, shard_index: int) -> str:
     return f"{journal_path}.shard{shard_index:04d}"
 
 
-def _execute_shard(task: ShardTask) -> ShardResult:
-    """Worker entry point: run one shard with its own sinks.
+def _execute_shard(task: ShardTask,
+                   beat: Optional[Callable[[Dict[str, Any]], None]] = None
+                   ) -> ShardResult:
+    """Run one shard with its own sinks.
 
-    Module-level (not a closure) so it pickles under the ``spawn``
-    start method.  Reuses :class:`ExperimentRunner` — the exact code
-    path of a serial batch — with the shard's private registry and
-    journal attached.
+    Reuses :class:`ExperimentRunner` — the exact code path of a serial
+    batch — with the shard's private registry and journal attached.
+    ``beat`` receives the shard's heartbeat dicts when
+    ``task.telemetry`` is set.
     """
     from repro.sim.runner import ExperimentRunner
 
@@ -172,9 +172,9 @@ def _execute_shard(task: ShardTask) -> ShardResult:
         engine=task.spec.resolved_engine,
     )
     emitter = None
-    if task.telemetry_queue is not None:
+    if task.telemetry:
         emitter = TelemetryEmitter(task.shard_index, task.stop - task.start,
-                                   task.telemetry_queue.put)
+                                   beat)
     runs = runner.run_range(task.start, task.stop, task.max_steps,
                             emitter=emitter)
     if emitter is not None:
@@ -187,48 +187,42 @@ def _execute_shard(task: ShardTask) -> ShardResult:
                        metrics=registry, journal_events=events)
 
 
-class _FileChannel:
-    """In-process stand-in for the manager queue: ``put`` appends JSONL.
+def _shard_worker(conn) -> None:
+    """Worker main loop: run shards until the parent says stop.
 
-    Used on the no-pool path (one shard, or ``workers == 1``) so the
-    shard code is identical either way — it just calls ``put``.
+    Receives ``(ShardTask, FaultAction | None)``, triggers the injected
+    fault if any, and runs the shard, streaming ``("beat", dict)``
+    heartbeats; then replies ``("ok", ShardResult)`` or ``("error",
+    summary, traceback)`` and waits for the next shard.  A crash sends
+    nothing: the parent sees EOF on the pipe.
     """
+    # Load the simulation stack before reporting ready, so import time
+    # never counts against a shard's watchdog.
+    import repro.core  # noqa: F401
+    import repro.sched  # noqa: F401
+    import repro.sim.runner  # noqa: F401
 
-    def __init__(self, fh) -> None:
-        self._sink = file_sink(fh)
+    def beat(d: Dict[str, Any]) -> None:
+        conn.send(("beat", d))
 
-    def put(self, d) -> None:
-        self._sink(d)
-
-
-def _drain_heartbeats(beats, fh, async_result) -> None:
-    """Stream heartbeat dicts off the queue into the telemetry file.
-
-    Runs in the parent while the pool works; returns once the pool is
-    done *and* the queue is empty, so the file always ends with every
-    shard's final ``done`` beat.  The final drain happens strictly
-    after ``async_result`` completes: a worker's ``put`` is a
-    synchronous manager RPC that returns before its task does, so once
-    every task has returned, every beat is already in the queue — a
-    blocking-with-timeout drain then empties it without racing the
-    manager, where the old ``get_nowait`` sweep could drop a
-    final-shard beat still crossing the proxy.
-    """
-    def _append(d) -> None:
-        fh.write(json.dumps(d, sort_keys=True) + "\n")
-        fh.flush()
-
-    while not async_result.ready():
-        try:
-            _append(beats.get(timeout=0.05))
-        except queue_module.Empty:
-            pass
-    async_result.wait()
+    conn.send(("ready",))
     while True:
         try:
-            _append(beats.get(timeout=0.2))
-        except queue_module.Empty:
-            break
+            msg = conn.recv()
+        except EOFError:
+            return
+        if msg is None:
+            return
+        task, fault = msg
+        try:
+            if fault is not None:
+                trigger_worker_fault(fault)
+            # Through the module global, so a wrapped ``_execute_shard``
+            # sees every shard.
+            conn.send(("ok", _execute_shard(task, beat)))
+        except Exception as exc:
+            conn.send(("error", f"{type(exc).__name__}: {exc}",
+                       traceback.format_exc()))
 
 
 def _check_picklable(spec: BatchSpec) -> None:
@@ -249,22 +243,6 @@ def _check_picklable(spec: BatchSpec) -> None:
         ) from exc
 
 
-def _warm_imports() -> None:
-    """Pre-import the simulation stack in the parent process.
-
-    The factory specs in :mod:`repro.parallel.tasks` import lazily on
-    first call, so a worker's first shard pays ~100ms of imports the
-    parent never triggered.  Under the ``fork`` start method children
-    inherit the parent's loaded modules — importing here once makes
-    every forked worker (pool worker or per-shard supervised child)
-    start warm.  Harmless under ``spawn``, where children re-import
-    regardless.
-    """
-    import repro.core  # noqa: F401
-    import repro.sched  # noqa: F401
-    import repro.sim.runner  # noqa: F401
-
-
 def _shard_payload(task: ShardTask, result: ShardResult):
     """Package one executed shard for the store (journal bytes inline)."""
     from repro.store import ShardPayload
@@ -279,6 +257,176 @@ def _shard_payload(task: ShardTask, result: ShardResult):
         journal_events=result.journal_events)
 
 
+@dataclasses.dataclass
+class _Attempt:
+    """One execution of one shard, due at ``not_before``."""
+
+    shard: int
+    attempt: int
+    engine: str
+    not_before: float = 0.0
+
+
+def _supervise(todo: List[int], n_workers: int,
+               make_task: Callable[[int, str], ShardTask],
+               commit: Optional[Callable[[ShardTask, ShardResult], str]],
+               policy: SupervisorPolicy, plan: Optional[FaultPlan],
+               shards: List[Tuple[int, int]], engine: str,
+               report: FaultReport,
+               telemetry: Callable[[Dict[str, Any]], None]) -> Tuple:
+    """Run shards ``todo`` on ``n_workers`` supervised workers.
+
+    Each shard commits (through ``commit``) the moment it arrives.
+    Returns ``(completed, quarantined)``: results and ``(start, stop)``
+    ranges keyed by shard index.
+    """
+    pending = [_Attempt(k, 0, engine) for k in todo]
+    #: Worker index -> (attempt, task, watchdog deadline).
+    running: Dict[int, Tuple[_Attempt, ShardTask, Optional[float]]] = {}
+    #: Started workers waiting for a shard.
+    idle: List[int] = []
+    started = set()
+    completed: Dict[int, ShardResult] = {}
+    quarantined: Dict[int, Tuple[int, int]] = {}
+
+    def record(att: _Attempt, kind: str, action: str, detail: str) -> None:
+        report.events.append(FaultEvent(
+            shard=att.shard, attempt=att.attempt, kind=kind,
+            engine=att.engine, action=action, detail=detail))
+        telemetry({"kind": "fault", "shard": att.shard,
+                   "attempt": att.attempt, "fault": kind,
+                   "engine": att.engine, "action": action,
+                   "detail": detail})
+
+    def fault(att: _Attempt, kind: str, detail: str,
+              trace: Optional[str] = None) -> None:
+        if policy.on_fault == "fail":
+            record(att, kind, "fail", detail)
+            start, stop = shards[att.shard]
+            msg = (f"shard {att.shard} (runs [{start}, {stop})) attempt "
+                   f"{att.attempt} on engine {att.engine!r} faulted: "
+                   f"{kind}: {detail} [on_fault='fail'; use retry/"
+                   f"degrade/quarantine to continue past faults]")
+            if trace is not None:
+                msg += f"\nworker traceback:\n{trace}"
+            raise SupervisorError(msg)
+        retryable = policy.on_fault in ("retry", "degrade")
+        if not retryable or att.attempt >= policy.max_retries:
+            quarantined[att.shard] = shards[att.shard]
+            record(att, kind, "quarantine", detail)
+            return
+        next_engine = (_degraded_engine(att.engine)
+                       if policy.on_fault == "degrade" else att.engine)
+        delay = policy.backoff(att.attempt + 1)
+        pending.append(_Attempt(att.shard, att.attempt + 1, next_engine,
+                                time.monotonic() + delay))
+        action = ("retry" if next_engine == att.engine
+                  else f"retry@{next_engine}")
+        record(att, kind, action, f"{detail}; backoff {delay:.3f}s")
+
+    def succeed(att: _Attempt, task: ShardTask,
+                result: ShardResult) -> None:
+        action = plan.store_action(att.shard, att.attempt) if plan else None
+        if commit is not None:
+            if action is not None and action.kind == "commit-fail":
+                # Work done, fact lost: the commit "fsync failed", so
+                # the result is discarded and the shard re-executes —
+                # the strictest reading of a failed durable write.
+                fault(att, "commit-fail", "injected commit failure (fsync)")
+                return
+            path = commit(task, result)
+            if action is not None and action.kind == "corrupt":
+                # At-rest damage after a successful commit: the sweep
+                # in flight is unaffected; the NEXT resume heals it.
+                corrupt_file(path, action.mode)
+                record(att, "corrupt", "damaged",
+                       f"injected {action.mode} damage to {path}")
+        completed[att.shard] = result
+
+    def dispatch() -> None:
+        now = time.monotonic()
+        for att in [a for a in pending if a.not_before <= now]:
+            if not idle:
+                return
+            w = idle.pop(0)
+            pending.remove(att)
+            task = make_task(att.shard, att.engine)
+            action = plan.worker_action(att.shard, att.attempt) \
+                if plan else None
+            deadline = (now + policy.shard_timeout
+                        if policy.shard_timeout is not None else None)
+            running[w] = (att, task, deadline)
+            try:
+                pool.conns[w].send((task, action))
+            except OSError:
+                pass  # the worker is gone; its EOF is handled below
+
+    def replace(w: int) -> None:
+        """Bury worker ``w``; start a fresh one while work remains."""
+        started.discard(w)
+        if w in idle:
+            idle.remove(w)
+        if pending:
+            pool.restart(w)
+        else:
+            pool.kill(w)
+
+    pool = Workers(_shard_worker, (), n_workers, "shard-worker")
+    try:
+        while pending or running:
+            dispatch()
+            now = time.monotonic()
+            deadlines = [d for _, _, d in running.values() if d is not None]
+            if idle:
+                deadlines += [a.not_before for a in pending]
+            timeout = (max(0.0, min(deadlines) - now) if deadlines
+                       else None)
+            for conn in wait([c for c in pool.conns if not c.closed],
+                             timeout):
+                w = pool.conns.index(conn)
+                try:
+                    msg = conn.recv()
+                except (EOFError, OSError):
+                    msg = None
+                if msg is None:
+                    pid, code = pool.exit_status(w)
+                    if w not in started:
+                        raise SupervisorError(
+                            f"shard worker {w} (pid {pid}) died during "
+                            f"start-up (exit code {code})")
+                    entry = running.pop(w, None)
+                    if entry is not None:
+                        fault(entry[0], "crash",
+                              f"worker exited with code {code} before "
+                              f"reporting")
+                    replace(w)
+                elif msg[0] == "beat":
+                    telemetry(msg[1])
+                elif msg[0] == "ready":
+                    started.add(w)
+                    idle.append(w)
+                else:
+                    att, task, _ = running.pop(w)
+                    idle.append(w)
+                    # Hand the worker its next shard before committing.
+                    dispatch()
+                    if msg[0] == "ok":
+                        succeed(att, task, msg[1])
+                    else:
+                        fault(att, "exception", msg[1], msg[2])
+            now = time.monotonic()
+            for w, (att, _, deadline) in list(running.items()):
+                if deadline is not None and now > deadline:
+                    del running[w]
+                    fault(att, "timeout",
+                          f"exceeded shard_timeout={policy.shard_timeout}"
+                          f"s; killed")
+                    replace(w)
+    finally:
+        pool.close()
+    return completed, quarantined
+
+
 def run_parallel(
     spec: BatchSpec,
     n_runs: int,
@@ -288,10 +436,17 @@ def run_parallel(
     journal_path: Optional[str] = None,
     telemetry_path: Optional[str] = None,
     registry: Optional[MetricsRegistry] = None,
-    mp_context: str = "spawn",
     store=None,
+    policy: Optional[SupervisorPolicy] = None,
+    fault_plan: Optional[FaultPlan] = None,
 ):
     """Execute a sharded batch and merge it back into one ``BatchStats``.
+
+    Shards run on ``min(workers, shards to run)`` persistent spawned
+    workers, each shard attempt supervised per ``policy``.  They run
+    in-process instead (no spawn; exceptions propagate unchanged) when
+    ``workers == 1`` or at most one shard is left to run, and neither
+    ``policy`` nor ``fault_plan`` is given.
 
     Parameters
     ----------
@@ -308,51 +463,73 @@ def run_parallel(
         header, shard order) into ``journal_path`` and removed.
     telemetry_path:
         Live-progress JSONL file (see :mod:`repro.obs.telemetry`).
-        Workers push per-shard heartbeats over a manager queue; the
-        parent appends them here while the pool runs, so ``repro top
-        <path>`` follows the sweep from another terminal.  Heartbeats
-        carry wall-clock rates — the file differs between repeats of
-        the same seeded sweep even though the returned stats do not.
-    mp_context:
-        ``multiprocessing`` start method.  ``"spawn"`` (default) works
-        everywhere; ``"fork"`` is faster where available.
+        Workers stream per-shard heartbeats over their pipes and the
+        parent appends them here, interleaved with fault records, so
+        ``repro top <path>`` follows the sweep from another terminal.
+        Heartbeats carry wall-clock rates — the file differs between
+        repeats of the same seeded sweep even though the returned stats
+        do not.
     store:
         Optional :class:`~repro.store.RunStore`.  Shards already
         committed under this sweep's content address ``(spec_hash,
-        root_seed, index_range)`` are loaded instead of executed;
+        root_seed, index_range)`` are loaded instead of executed (a
+        damaged one is healed: renamed ``*.corrupt`` and recomputed);
         every freshly executed shard is committed (atomic tmp+rename)
-        as soon as it finishes — in execution order on the in-process
-        path, in shard order after a pool drains — so an interrupted
-        sweep resumes from its last committed shard.  The returned
-        stats carry a :class:`~repro.store.StoreStats` accounting.
+        as soon as it finishes, so an interrupted sweep resumes from
+        its last committed shard.  The returned stats carry a
+        :class:`~repro.store.StoreStats` accounting.  A fully
+        store-served repeat starts no worker.
+    policy:
+        A :class:`~repro.parallel.supervisor.SupervisorPolicy`; the
+        default is ``SupervisorPolicy(on_fault="fail")``: the first
+        fault raises :class:`~repro.parallel.supervisor.SupervisorError`
+        naming the shard (and carrying the worker's traceback).
+    fault_plan:
+        Test-only fault injection (:mod:`repro.faults`).
 
     Returns a :class:`~repro.sim.runner.BatchStats` bit-identical to
     the serial equivalent: same ``runs`` list, same merged metrics
-    snapshot, same journal bytes.
+    snapshot, same journal bytes.  When a ``policy`` or ``fault_plan``
+    was given it also carries a
+    :class:`~repro.parallel.supervisor.FaultReport` on ``.faults``;
+    quarantined shards' index ranges are then missing from ``runs`` and
+    named by the report.
     """
     from repro.sim.runner import BatchStats
 
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     _check_picklable(spec)
-    _warm_imports()
+    supervised = policy is not None or fault_plan is not None
+    if policy is None:
+        policy = SupervisorPolicy(on_fault="fail")
 
     shards = plan_shards(n_runs, workers, shard_size)
     with_metrics = registry is not None
+    report = FaultReport()
 
-    cached: dict = {}
+    # -- spec hash / store preamble (healing resume) -------------------
     run_spec = None
+    spec_hash = None
     store_stats = None
-    if store is not None:
+    if store is not None or (fault_plan is not None
+                             and fault_plan.spec_hash is not None):
         from repro.spec import ObsOptions, RunSpec
-        from repro.store import StoreStats
 
         run_spec = RunSpec.from_batch(
             spec, max_steps=max_steps,
             obs=ObsOptions(metrics=with_metrics,
                            journal=journal_path is not None))
         spec_hash = run_spec.spec_hash()
+    plan = fault_plan if (fault_plan is not None
+                          and fault_plan.applies_to(spec_hash)) else None
+
+    cached: Dict[int, Any] = {}
+    if store is not None:
+        from repro.store import StoreStats
+
         store_stats = StoreStats(spec_hash=spec_hash)
+        healed_before = len(store.healed)
         for k, (start, stop) in enumerate(shards):
             # heal=True: a committed shard damaged at rest (failed
             # disk, torn copy) is quarantined as *.corrupt and simply
@@ -366,91 +543,88 @@ def run_parallel(
             else:
                 store_stats.misses += 1
                 store_stats.runs_executed += stop - start
+        for path in store.healed[healed_before:]:
+            report.healed.append(path)
+            report.events.append(FaultEvent(
+                shard=-1, attempt=0, kind="healed",
+                engine=spec.resolved_engine, action="healed",
+                detail=f"damaged shard file quarantined as "
+                       f"{path}.corrupt; recomputing"))
 
-    tasks = [
-        ShardTask(
-            spec=spec,
-            start=start,
-            stop=stop,
-            max_steps=max_steps,
+    todo = [k for k in range(len(shards)) if k not in cached]
+
+    def make_task(k: int, engine: str) -> ShardTask:
+        start, stop = shards[k]
+        task_spec = spec
+        if engine != spec.resolved_engine:
+            # Degraded attempt: rebuild the spec on the lower rung.
+            # The shard still commits under the ORIGINAL run_spec —
+            # sound because the engines are verified bit-identical.
+            task_spec = dataclasses.replace(spec, engine=engine)
+        return ShardTask(
+            spec=task_spec, start=start, stop=stop, max_steps=max_steps,
             with_metrics=with_metrics,
             journal_path=(shard_journal_path(journal_path, k)
                           if journal_path is not None else None),
-            shard_index=k,
-        )
-        for k, (start, stop) in enumerate(shards)
-        if k not in cached
-    ]
+            shard_index=k, telemetry=telemetry_path is not None)
 
-    def _commit(task: ShardTask, result: ShardResult) -> None:
-        store.commit_shard(run_spec, spec.seed,
-                           _shard_payload(task, result))
+    commit = None
+    if store is not None:
+        def commit(task: ShardTask, result: ShardResult) -> str:
+            return store.commit_shard(run_spec, spec.seed,
+                                      _shard_payload(task, result))
 
     telemetry_fh = open(telemetry_path, "w") \
         if telemetry_path is not None else None
+    telemetry = (file_sink(telemetry_fh) if telemetry_fh is not None
+                 else lambda d: None)
     try:
-        if not tasks:
-            results: List[ShardResult] = []
-        elif len(tasks) == 1 or workers == 1:
-            # Nothing to parallelize; run in-process, same code path.
-            # With a store, each shard commits the moment it finishes
-            # (that is what makes a killed sweep resumable mid-batch).
-            if telemetry_fh is not None:
-                channel = _FileChannel(telemetry_fh)
-                tasks = [dataclasses.replace(t, telemetry_queue=channel)
-                         for t in tasks]
-            results = []
-            for t in tasks:
-                r = _execute_shard(t)
-                if store is not None:
-                    _commit(t, r)
-                results.append(r)
+        if todo and (supervised or (workers > 1 and len(todo) > 1)):
+            completed, quarantined = _supervise(
+                todo, min(workers, len(todo)), make_task, commit, policy,
+                plan, shards, spec.resolved_engine, report, telemetry)
         else:
-            ctx = multiprocessing.get_context(mp_context)
-            if telemetry_fh is None:
-                with ctx.Pool(processes=min(workers, len(tasks))) as pool:
-                    results = pool.map(_execute_shard, tasks)
-            else:
-                # Heartbeats cross process boundaries over a manager
-                # queue; the parent streams them to the telemetry file
-                # while the pool works.
-                with ctx.Manager() as manager:
-                    beats = manager.Queue()
-                    tasks = [dataclasses.replace(t, telemetry_queue=beats)
-                             for t in tasks]
-                    with ctx.Pool(
-                            processes=min(workers, len(tasks))) as pool:
-                        pending = pool.map_async(_execute_shard, tasks)
-                        _drain_heartbeats(beats, telemetry_fh, pending)
-                        results = pending.get()
-            if store is not None:
-                for t, r in zip(tasks, results):
-                    _commit(t, r)
+            # Nothing to supervise or parallelize: run in-process, same
+            # code path, each shard committed the moment it finishes.
+            completed, quarantined = {}, {}
+            for k in todo:
+                task = make_task(k, spec.resolved_engine)
+                completed[k] = _execute_shard(task, telemetry)
+                if commit is not None:
+                    commit(task, completed[k])
     finally:
         if telemetry_fh is not None:
             telemetry_fh.close()
+    report.quarantined = sorted(quarantined.values())
 
-    # Fold cached payloads back into the shard sequence, in shard
-    # order, so the merge below cannot tell a loaded shard from an
-    # executed one.
-    if cached:
-        executed = {r.start: r for r in results}
-        results = []
-        for k, (start, stop) in enumerate(shards):
-            payload = cached.get(k)
-            if payload is None:
-                results.append(executed[start])
-                continue
+    # -- deterministic merge, minus quarantined shards -----------------
+    results: List[ShardResult] = []
+    journal_parts: List[str] = []
+    for k, (start, stop) in enumerate(shards):
+        part = (shard_journal_path(journal_path, k)
+                if journal_path is not None else None)
+        if k in quarantined:
+            # Remove any partial journal litter the failed attempts
+            # left so a later sweep cannot trip over it.
+            for stray in ((part, part + ".tmp") if part else ()):
+                if os.path.exists(stray):
+                    os.remove(stray)
+            continue
+        payload = cached.get(k)
+        if payload is None:
+            results.append(completed[k])
+        else:
             results.append(ShardResult(
                 start=start, stop=stop, runs=payload.runs,
                 metrics=payload.metrics,
                 journal_events=payload.journal_events))
-            if journal_path is not None:
+            if part is not None:
                 # Re-materialize the shard's journal segment so the
                 # stitch below is the one code path either way.
-                with open(shard_journal_path(journal_path, k),
-                          "wb") as fh:
+                with open(part, "wb") as fh:
                     fh.write(payload.journal_bytes)
+        if part is not None:
+            journal_parts.append(part)
 
     runs = [r for shard in results for r in shard.runs]
     if with_metrics:
@@ -459,10 +633,8 @@ def run_parallel(
 
     journal_events: Optional[int] = None
     if journal_path is not None:
-        parts = [shard_journal_path(journal_path, k)
-                 for k in range(len(shards))]
-        journal_events = concatenate_journals(parts, journal_path)
-        for part in parts:
+        journal_events = concatenate_journals(journal_parts, journal_path)
+        for part in journal_parts:
             os.remove(part)
 
     return BatchStats(
@@ -472,4 +644,5 @@ def run_parallel(
         journal_path=journal_path,
         journal_events=journal_events,
         store=store_stats,
+        faults=report if supervised else None,
     )

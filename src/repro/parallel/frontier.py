@@ -48,7 +48,9 @@ first violation in worker order wins; the verdict never differs.
 A worker that dies (EOF on its pipe) or raises surfaces as
 :class:`FrontierWorkerError` naming the worker and the depth;
 :meth:`FrontierPool.close` stops, joins and if need be terminates every
-worker.
+worker.  Starting, addressing and stopping the workers is
+:class:`repro.parallel.workers.Workers`'s job, shared with the sweep
+executor.
 """
 
 from __future__ import annotations
@@ -56,14 +58,11 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import pickle
-import time
 import traceback
 from array import array
 from typing import Any, Callable, Hashable, List, Optional, Sequence, Tuple
 
-#: Seconds :meth:`FrontierPool.close` waits for workers to exit after
-#: ``stop`` before terminating them.
-STOP_GRACE_S = 1.0
+from repro.parallel.workers import Workers
 
 
 class FrontierWorkerError(RuntimeError):
@@ -208,11 +207,12 @@ def _frontier_worker(conn, spec: FrontierSpec) -> None:
         failure = traceback.format_exc()
     while True:
         try:
-            op, arg = conn.recv()
+            msg = conn.recv()
         except EOFError:
             return
-        if op == "stop":
+        if msg is None:
             return
+        op, arg = msg
         if failure is not None:
             conn.send(("error", failure))
             continue
@@ -248,8 +248,6 @@ class FrontierPool:
     def __init__(self, engine, workers: int,
                  protocol_factory: Optional[Callable[[], Any]] = None) \
             -> None:
-        import multiprocessing
-
         factory = protocol_factory
         if factory is None:
             factory = _ConstFactory(engine.protocol)
@@ -275,40 +273,12 @@ class FrontierPool:
         self._sizes: Optional[List[int]] = None
         #: The admit reply owed to each worker for its last level.
         self._admit: List[Any] = [None] * workers
-        self._procs: List[Any] = []
-        self._conns: List[Any] = []
-        ctx = multiprocessing.get_context("spawn")
-        try:
-            for i in range(workers):
-                parent_end, child_end = ctx.Pipe()
-                proc = ctx.Process(target=_frontier_worker,
-                                   args=(child_end, spec),
-                                   name=f"frontier-{i}", daemon=True)
-                proc.start()
-                child_end.close()
-                self._procs.append(proc)
-                self._conns.append(parent_end)
-        except BaseException:
-            self.close()
-            raise
+        self._workers = Workers(_frontier_worker, (spec,), workers,
+                                "frontier")
 
     def close(self) -> None:
         """Stop and join every worker; terminate any that linger."""
-        for conn in self._conns:
-            try:
-                conn.send(("stop", None))
-            except OSError:
-                pass
-        deadline = time.monotonic() + STOP_GRACE_S
-        for proc in self._procs:
-            proc.join(max(0.0, deadline - time.monotonic()))
-            if proc.is_alive():
-                proc.terminate()
-                proc.join()
-        for conn in self._conns:
-            conn.close()
-        self._procs = []
-        self._conns = []
+        self._workers.close()
 
     def _call(self, requests: Sequence[Tuple[int, str, Any]],
               depth: int) -> List[Any]:
@@ -316,13 +286,13 @@ class FrontierPool:
         in request order."""
         for worker, op, arg in requests:
             try:
-                self._conns[worker].send((op, arg))
+                self._workers.conns[worker].send((op, arg))
             except OSError as exc:
                 raise self._died(worker, depth) from exc
         replies = []
         for worker, _, _ in requests:
             try:
-                status, payload = self._conns[worker].recv()
+                status, payload = self._workers.conns[worker].recv()
             except (EOFError, OSError) as exc:
                 raise self._died(worker, depth) from exc
             if status == "error":
@@ -333,11 +303,10 @@ class FrontierPool:
         return replies
 
     def _died(self, worker: int, depth: int) -> FrontierWorkerError:
-        proc = self._procs[worker]
-        proc.join(STOP_GRACE_S)
+        pid, exitcode = self._workers.exit_status(worker)
         return FrontierWorkerError(
-            f"frontier worker {worker} (pid {proc.pid}) died at depth "
-            f"{depth} (exit code {proc.exitcode})")
+            f"frontier worker {worker} (pid {pid}) died at depth "
+            f"{depth} (exit code {exitcode})")
 
     def expand_level(self, items: Sequence[Tuple], visited,
                      next_items: List[Tuple], depth: int,

@@ -130,10 +130,10 @@ class BatchStats:
 
     ``faults`` carries the
     :class:`~repro.parallel.supervisor.FaultReport` when the batch ran
-    supervised (``run_many(..., supervise=True)``): every fault the
-    supervisor absorbed, plus the quarantined index ranges ``runs``
-    omits.  ``None`` on unsupervised batches; a supervised fault-free
-    batch carries an empty report (``faults.ok``).
+    supervised (``run_many(..., policy=SupervisorPolicy())``): every
+    fault the supervisor absorbed, plus the quarantined index ranges
+    ``runs`` omits.  ``None`` on unsupervised batches; a supervised
+    fault-free batch carries an empty report (``faults.ok``).
     """
 
     runs: List[RunStats]
@@ -251,7 +251,6 @@ class ExperimentRunner:
         seed: int,
         strict: bool = False,
         sinks: Sequence[BaseSink] = (),
-        fast: Optional[bool] = None,
         memory=None,
         engine: Optional[str] = None,
     ) -> None:
@@ -262,14 +261,13 @@ class ExperimentRunner:
         self._strict = strict
         self._sinks = tuple(sinks)
         # ``engine`` names the execution backend, resolved and
-        # validated through the registry (repro.engines); ``fast`` is
-        # the deprecated boolean alias.  "vector" steps compiled
-        # integer tables in lockstep mega-batches (repro.ir) and is
-        # bit-identical to the interpreted kernels for the supported
-        # protocol × scheduler × memory matrix (docs/IR.md §5); it
-        # raises IRUnsupportedError at first use otherwise.
-        self._engine = resolve_sim_engine(
-            engine, fast, caller="ExperimentRunner").name
+        # validated through the registry (repro.engines).  "vector"
+        # steps compiled integer tables in lockstep mega-batches
+        # (repro.ir) and is bit-identical to the interpreted kernels
+        # for the supported protocol × scheduler × memory matrix
+        # (docs/IR.md §5); it raises IRUnsupportedError at first use
+        # otherwise.
+        self._engine = resolve_sim_engine(engine).name
         self._fast = self._engine == "fast"
         # Register semantics for every run of the batch (a picklable
         # MemorySpec, so parallel shards inherit it unchanged).
@@ -446,9 +444,7 @@ class ExperimentRunner:
         shard_size: Optional[int] = None,
         journal_path: Optional[str] = None,
         telemetry_path: Optional[str] = None,
-        mp_context: str = "spawn",
         store: Optional["RunStore"] = None,
-        supervise: bool = False,
         policy: Optional["SupervisorPolicy"] = None,
         fault_plan: Optional["FaultPlan"] = None,
     ) -> BatchStats:
@@ -460,7 +456,7 @@ class ExperimentRunner:
         as ``metrics``.
 
         ``workers > 1`` shards the run index range across that many
-        worker processes (see :mod:`repro.parallel`).  Because each
+        spawned worker processes (see :mod:`repro.parallel`).  Because each
         run's randomness is keyed only by the root seed and its index,
         the result — run stats, merged metrics snapshot, and journal
         bytes — is bit-identical to ``workers=1`` with the same seed,
@@ -489,20 +485,21 @@ class ExperimentRunner:
         granularity is the shard) and inherit its restrictions:
         picklable spec-class factories and MetricsRegistry-only sinks.
 
-        ``supervise=True`` (or passing ``policy`` / ``fault_plan``)
-        routes the batch through the fault-tolerant supervisor
-        (:mod:`repro.parallel.supervisor`): each shard runs in its own
-        watched child process with bounded deterministic retries,
+        Sharded batches fail fast: a faulting shard (a raised exception,
+        a worker that dies) raises
+        :class:`~repro.parallel.supervisor.SupervisorError`.  Passing a
+        ``policy`` (:class:`~repro.parallel.supervisor.SupervisorPolicy`)
+        or a ``fault_plan`` (:mod:`repro.faults`) supervises the batch
+        instead: a per-shard watchdog, bounded deterministic retries,
         optional engine degradation, and quarantine instead of sweep
-        death.  Results stay bit-identical to the unsupervised batch;
-        the returned stats gain a ``faults``
+        death.  Results stay bit-identical to the fault-free batch; the
+        returned stats gain a ``faults``
         :class:`~repro.parallel.supervisor.FaultReport`.  Supervised
         batches carry the same restrictions as parallel ones (they
         always cross a process boundary, even at ``workers=1``).
         """
-        supervise = supervise or policy is not None \
-            or fault_plan is not None
-        if workers > 1 or store is not None or supervise:
+        if workers > 1 or store is not None or policy is not None \
+                or fault_plan is not None:
             from repro.parallel.engine import BatchSpec, run_parallel
 
             unsupported = [s for s in self._sinks
@@ -524,23 +521,12 @@ class ExperimentRunner:
                 memory=self._memory,
                 engine=self._engine,
             )
-            if supervise:
-                from repro.parallel.supervisor import run_supervised
-
-                return run_supervised(
-                    spec, n_runs, max_steps,
-                    workers=workers, shard_size=shard_size,
-                    journal_path=journal_path,
-                    telemetry_path=telemetry_path,
-                    registry=self.metrics, mp_context=mp_context,
-                    store=store, policy=policy, fault_plan=fault_plan,
-                )
             return run_parallel(
                 spec, n_runs, max_steps,
                 workers=workers, shard_size=shard_size,
                 journal_path=journal_path, telemetry_path=telemetry_path,
-                registry=self.metrics, mp_context=mp_context,
-                store=store,
+                registry=self.metrics, store=store, policy=policy,
+                fault_plan=fault_plan,
             )
 
         journal = None

@@ -101,17 +101,7 @@ class TestTheOneValidationError:
 
 
 class TestDeprecatedFastAlias:
-    def test_fast_true_warns_and_resolves(self):
-        with pytest.warns(DeprecationWarning, match="fast=.*deprecated"):
-            assert resolve_sim_engine(None, True).name == "fast"
-
-    def test_fast_false_warns_and_resolves(self):
-        with pytest.warns(DeprecationWarning):
-            assert resolve_sim_engine(None, False).name == "reference"
-
-    def test_engine_wins_over_fast(self):
-        with pytest.warns(DeprecationWarning):
-            assert resolve_sim_engine("vector", True).name == "vector"
+    """The boolean ``fast=`` alias is removed: only engine names remain."""
 
     def test_no_alias_no_warning(self):
         import warnings
@@ -120,6 +110,31 @@ class TestDeprecatedFastAlias:
             warnings.simplefilter("error")
             assert resolve_sim_engine("reference").name == "reference"
             assert resolve_sim_engine(None).name == "fast"
+
+    def test_fast_keyword_is_rejected(self):
+        from repro.core.consensus import solve
+        from repro.core.two_process import TwoProcessProtocol
+        from repro.parallel.engine import BatchSpec
+        from repro.parallel.tasks import (ConstantInputs, ProtocolSpec,
+                                          SchedulerSpec)
+        from repro.sched.simple import RoundRobinScheduler
+        from repro.sim.kernel import Simulation
+        from repro.sim.rng import ReplayableRng
+        from repro.sim.runner import ExperimentRunner
+
+        factories = dict(protocol_factory=ProtocolSpec("two", 2),
+                         scheduler_factory=SchedulerSpec("random"),
+                         inputs_factory=ConstantInputs(("a", "b")),
+                         seed=0)
+        with pytest.raises(TypeError, match="fast"):
+            Simulation(TwoProcessProtocol(), ("a", "b"),
+                       RoundRobinScheduler(), ReplayableRng(0), fast=True)
+        with pytest.raises(TypeError, match="fast"):
+            solve(TwoProcessProtocol(), ("a", "b"), fast=True)
+        with pytest.raises(TypeError, match="fast"):
+            ExperimentRunner(fast=True, **factories)
+        with pytest.raises(TypeError, match="fast"):
+            BatchSpec(fast=True, **factories)
 
 
 class TestCallSitesRouteThroughRegistry:
@@ -135,18 +150,6 @@ class TestCallSitesRouteThroughRegistry:
             Simulation(TwoProcessProtocol(), ("a", "b"),
                        RoundRobinScheduler(), ReplayableRng(0),
                        engine="fsat")
-
-    def test_simulation_fast_alias_warns(self):
-        from repro.core.two_process import TwoProcessProtocol
-        from repro.sched.simple import RoundRobinScheduler
-        from repro.sim.kernel import Simulation
-        from repro.sim.rng import ReplayableRng
-
-        with pytest.warns(DeprecationWarning, match="Simulation"):
-            sim = Simulation(TwoProcessProtocol(), ("a", "b"),
-                             RoundRobinScheduler(), ReplayableRng(0),
-                             fast=False)
-        assert not sim._fast
 
     def test_runner(self):
         from repro.parallel.tasks import (ConstantInputs, ProtocolSpec,

@@ -360,7 +360,7 @@ def test_runner_engine_vector_run_many_serial():
 def test_runner_engine_vector_run_many_parallel():
     serial = _make_runner("vector").run_many(120, max_steps=3_000)
     sharded = _make_runner("vector").run_many(
-        120, max_steps=3_000, workers=2, mp_context="fork")
+        120, max_steps=3_000, workers=2)
     assert serial.runs == sharded.runs
 
 

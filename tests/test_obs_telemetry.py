@@ -188,8 +188,7 @@ class TestSweepIntegration:
             seed=9,
         )
         runner.run_many(9, max_steps=4000, workers=2,
-                        shard_size=3, telemetry_path=path,
-                        mp_context="fork")
+                        shard_size=3, telemetry_path=path)
         latest = latest_by_shard(read_telemetry(path))
         assert sorted(latest) == [0, 1, 2]
         assert all(b.done for b in latest.values())

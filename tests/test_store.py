@@ -163,6 +163,53 @@ class TestResume:
         assert follow.store.fully_cached
 
 
+class TestNoSpawnPaths:
+    """Cheap sharded paths start no worker process at all."""
+
+    @staticmethod
+    def refuse_spawn(monkeypatch):
+        import repro.parallel.workers as workers
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a worker process was spawned")
+
+        monkeypatch.setattr(workers, "spawn", refuse)
+
+    def test_warm_repeat_at_two_workers(self, tmp_path, baseline,
+                                        monkeypatch):
+        base_stats, base_journal, base_metrics = baseline
+        store = RunStore(str(tmp_path / "store"))
+        sweep(tmp_path, "cold", store=store, workers=2)
+        self.refuse_spawn(monkeypatch)
+        stats, journal, metrics = sweep(tmp_path, "warm", store=store,
+                                        workers=2)
+        assert stats.store.fully_cached
+        assert stats.runs == base_stats.runs
+        assert journal == base_journal
+        assert metrics == base_metrics
+
+    def test_resume_with_one_shard_left_runs_in_process(
+            self, tmp_path, baseline, monkeypatch):
+        base_stats, base_journal, base_metrics = baseline
+        store = RunStore(str(tmp_path / "store"))
+
+        def fault(spec_hash, seed, start, stop, path):
+            if stop == N_RUNS - SHARD:
+                raise Fault
+
+        store.on_commit = fault
+        with pytest.raises(Fault):
+            sweep(tmp_path, "killed", store=store)
+        store.on_commit = None
+        self.refuse_spawn(monkeypatch)
+        stats, journal, metrics = sweep(tmp_path, "resumed", store=store,
+                                        workers=2)
+        assert stats.store.misses == 1
+        assert stats.runs == base_stats.runs
+        assert journal == base_journal
+        assert metrics == base_metrics
+
+
 class TestCrashSafetyAndGc:
     def test_tmp_orphan_is_invisible_and_swept(self, tmp_path):
         store = RunStore(str(tmp_path / "store"))

@@ -1,4 +1,4 @@
-"""Chaos suite for the fault-tolerant sweep supervisor.
+"""Chaos suite for the supervised sharded sweep executor.
 
 The acceptance contract (docs/ROBUSTNESS.md): for every fault kind —
 worker crash, raised exception, hang past the watchdog, corrupt
@@ -14,33 +14,36 @@ Quarantine is the one sanctioned deviation: the sweep still completes,
 but ``runs`` omits the quarantined index ranges and the
 :class:`FaultReport` names them exactly.
 
-These tests prefer the ``fork`` start method where the platform offers
-it (child startup is ~100x cheaper than ``spawn``, and the chaos
-matrix launches many children); ``spawn`` coverage of the same code
-path lives in tests/test_parallel.py and the crash-kill test.
+Every sweep here runs through :func:`repro.parallel.run_parallel` on
+persistent ``spawn`` workers.  ``run_with`` passes
+``SupervisorPolicy()`` (retry) when a test gives no policy, so the
+fault-tolerant behaviour is what each test exercises; the executor's
+own default (fail-fast) is covered by ``TestFailFastDefault`` and
+``TestExternalKill``.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
+import signal
+import threading
+import time
 
 import pytest
 
 from repro.faults import FaultAction, FaultPlan
 from repro.obs import MetricsRegistry
+from repro.obs.telemetry import read_telemetry
 from repro.parallel import (BatchSpec, ConstantInputs, ProtocolSpec,
                             SchedulerSpec, SupervisorError,
-                            SupervisorPolicy, run_supervised)
+                            SupervisorPolicy, run_parallel)
 from repro.sim.runner import ExperimentRunner
 from repro.store import RunStore
 
 N_RUNS = 40
 MAX_STEPS = 400
 SEED = 321
-
-MP = ("fork" if "fork" in multiprocessing.get_all_start_methods()
-      else "spawn")
 
 #: Fast, deterministic backoff for tests (the schedule, not the wait,
 #: is what the suite verifies).
@@ -87,10 +90,11 @@ def run_with(tmp_path, fault_plan=None, policy=None, workers=2,
              store=None, seed=SEED):
     registry = MetricsRegistry()
     journal = str(tmp_path / "journal.jsonl")
-    stats = run_supervised(
+    stats = run_parallel(
         make_spec(seed), N_RUNS, MAX_STEPS, workers=workers,
-        journal_path=journal, registry=registry, mp_context=MP,
-        store=store, policy=policy, fault_plan=fault_plan,
+        journal_path=journal, registry=registry, store=store,
+        policy=policy if policy is not None else SupervisorPolicy(),
+        fault_plan=fault_plan,
     )
     return stats, registry, journal
 
@@ -243,6 +247,51 @@ class TestPolicies:
             SupervisorPolicy(shard_timeout=0)
 
 
+class TestFailFastDefault:
+    def test_worker_exception_raises_with_its_traceback(self):
+        plan = FaultPlan.build({(1, 0): FaultAction("raise")})
+        with pytest.raises(SupervisorError) as info:
+            run_parallel(make_spec(), N_RUNS, MAX_STEPS, workers=2,
+                         fault_plan=plan)
+        message = str(info.value)
+        assert "shard 1 " in message and "InjectedFault" in message
+        assert "worker traceback:\nTraceback (most recent call last)" \
+            in message
+        assert "trigger_worker_fault" in message
+        assert _sweep_workers() == []
+
+
+class TestWorkerLifecycle:
+    @pytest.fixture
+    def spawned(self, monkeypatch):
+        import repro.parallel.workers as workers
+
+        names = []
+        spawn = workers.spawn
+
+        def counting(target, args, name):
+            names.append(name)
+            return spawn(target, args, name)
+
+        monkeypatch.setattr(workers, "spawn", counting)
+        return names
+
+    def test_raising_shard_keeps_its_worker(self, tmp_path, baseline,
+                                            spawned):
+        plan = FaultPlan.build({(0, 0): FaultAction("raise")})
+        stats, reg, journal = run_with(tmp_path, plan,
+                                       SupervisorPolicy(**FAST))
+        assert_bit_identical(stats, reg, journal, baseline)
+        assert sorted(spawned) == ["shard-worker-0", "shard-worker-1"]
+
+    def test_crashed_worker_is_replaced(self, tmp_path, baseline, spawned):
+        plan = FaultPlan.build({(0, 0): FaultAction("crash")})
+        stats, reg, journal = run_with(tmp_path, plan,
+                                       SupervisorPolicy(**FAST))
+        assert_bit_identical(stats, reg, journal, baseline)
+        assert len(spawned) == 3
+
+
 # -- run_many integration ----------------------------------------------
 
 class TestRunManyIntegration:
@@ -257,7 +306,7 @@ class TestRunManyIntegration:
             sinks=(registry,),
         )
         stats = runner.run_many(N_RUNS, max_steps=MAX_STEPS, workers=2,
-                                mp_context=MP, supervise=True)
+                                policy=SupervisorPolicy())
         assert stats.runs == base_runs
         assert registry.to_dict() == base_metrics
         assert stats.faults is not None and stats.faults.ok
@@ -272,7 +321,7 @@ class TestRunManyIntegration:
         )
         plan = FaultPlan.build({(0, 0): FaultAction("raise")})
         stats = runner.run_many(
-            N_RUNS, max_steps=MAX_STEPS, workers=2, mp_context=MP,
+            N_RUNS, max_steps=MAX_STEPS, workers=2,
             fault_plan=plan,
             policy=SupervisorPolicy(**FAST))
         assert stats.runs == base_runs
@@ -299,9 +348,9 @@ class TestFaultTelemetry:
 
         telemetry = str(tmp_path / "top.jsonl")
         plan = FaultPlan.build({(0, 0): FaultAction("crash")})
-        stats = run_supervised(
+        stats = run_parallel(
             make_spec(), N_RUNS, MAX_STEPS, workers=2,
-            telemetry_path=telemetry, mp_context=MP,
+            telemetry_path=telemetry,
             policy=SupervisorPolicy(**FAST), fault_plan=plan)
         assert stats.faults.n_faults == 1
 
@@ -325,8 +374,8 @@ class TestFaultTelemetry:
         from repro.obs.telemetry import read_telemetry, render_top
 
         telemetry = str(tmp_path / "top.jsonl")
-        run_supervised(make_spec(), N_RUNS, MAX_STEPS, workers=2,
-                       telemetry_path=telemetry, mp_context=MP)
+        run_parallel(make_spec(), N_RUNS, MAX_STEPS, workers=2,
+                     telemetry_path=telemetry, policy=SupervisorPolicy())
         table = render_top(read_telemetry(telemetry))
         assert "faults" not in table.splitlines()[0]
 
@@ -339,9 +388,9 @@ class TestQuarantineHygiene:
             {(0, a): FaultAction("raise") for a in range(3)})
         policy = SupervisorPolicy(max_retries=1, **FAST)
         journal = str(tmp_path / "journal.jsonl")
-        stats = run_supervised(
+        stats = run_parallel(
             make_spec(), N_RUNS, MAX_STEPS, workers=2,
-            journal_path=journal, mp_context=MP,
+            journal_path=journal,
             policy=policy, fault_plan=plan)
         assert not stats.faults.ok
         leftovers = [n for n in os.listdir(tmp_path)
@@ -351,3 +400,66 @@ class TestQuarantineHygiene:
         with open(journal) as fh:
             lines = fh.readlines()
         assert len(lines) == (stats.journal_events or 0)
+
+
+# -- a worker killed from outside --------------------------------------
+
+KILL_RUNS = 3000
+
+
+def _sweep_workers():
+    return [p for p in multiprocessing.active_children()
+            if p.name.startswith("shard-worker-")]
+
+
+def _kill_a_worker_mid_shard(telemetry):
+    """SIGKILL ``shard-worker-0`` once both shards report progress."""
+    deadline = time.monotonic() + 60
+    while time.monotonic() < deadline:
+        beats = read_telemetry(telemetry) \
+            if os.path.exists(telemetry) else []
+        if {b.shard for b in beats} == {0, 1} \
+                and not any(b.done for b in beats):
+            victim, = [p for p in _sweep_workers()
+                       if p.name == "shard-worker-0"]
+            os.kill(victim.pid, signal.SIGKILL)
+            return
+        time.sleep(0.005)
+
+
+def _killed_sweep(tmp_path, policy=None):
+    """A 2-shard ``run_many`` at 2 workers with one worker SIGKILLed."""
+    telemetry = str(tmp_path / "top.jsonl")
+    runner = ExperimentRunner(
+        protocol_factory=ProtocolSpec("three-bounded", 3),
+        scheduler_factory=SchedulerSpec("random"),
+        inputs_factory=ConstantInputs(("a", "b", "b")),
+        seed=SEED,
+    )
+    killer = threading.Thread(target=_kill_a_worker_mid_shard,
+                              args=(telemetry,))
+    killer.start()
+    try:
+        return runner, runner.run_many(
+            KILL_RUNS, max_steps=MAX_STEPS, workers=2,
+            telemetry_path=telemetry, policy=policy)
+    finally:
+        killer.join(timeout=60)
+        assert not killer.is_alive()
+
+
+class TestExternalKill:
+    def test_default_policy_raises_naming_the_shard(self, tmp_path):
+        t0 = time.monotonic()
+        with pytest.raises(SupervisorError,
+                           match=r"shard [01] .*crash: worker exited"):
+            _killed_sweep(tmp_path)
+        assert time.monotonic() - t0 < 10
+        assert _sweep_workers() == []
+
+    def test_retry_policy_recovers_bit_identical(self, tmp_path):
+        runner, stats = _killed_sweep(tmp_path, SupervisorPolicy())
+        serial = runner.run_many(KILL_RUNS, max_steps=MAX_STEPS)
+        assert stats.runs == serial.runs
+        assert [e.kind for e in stats.faults.events] == ["crash"]
+        assert _sweep_workers() == []
