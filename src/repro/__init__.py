@@ -8,6 +8,10 @@ the same problem deterministically.
 Package map
 -----------
 
+Every package below is a lazy namespace (:mod:`repro._lazy`): a name
+is imported on first access, so ``import repro`` is cheap and a process
+loads only the layers it runs.
+
 ``repro.core``
     The paper's protocols: two-processor (Figure 1), three-processor
     unbounded (Figure 2), three-processor bounded (Figure 3 / Section
@@ -62,68 +66,44 @@ Quickstart
 True
 """
 
-from repro.core import (
-    ConsensusOutcome,
-    ConsensusProtocol,
-    MultiValuedProtocol,
-    NaiveProtocol,
-    NProcessProtocol,
-    ThreeBoundedProtocol,
-    ThreeUnboundedProtocol,
-    TwoProcessProtocol,
-    solve,
-)
-from repro.errors import (
-    AccessViolation,
-    ProtocolError,
-    ReproError,
-    SimulationError,
-    VerificationError,
-)
-from repro.faults import FaultAction, FaultPlan, InjectedFault
-from repro.obs import JsonlJournal, MetricsRegistry, PhaseTimer
-from repro.parallel.supervisor import (FaultReport, SupervisorError,
-                                       SupervisorPolicy)
-from repro.sim import BOTTOM, ExperimentRunner, ReplayableRng, Simulation
-from repro.spec import ObsOptions, RunSpec, SpecError
-from repro.store import RunStore, ShardVerdict, StoreError, StoreStats
+from repro._lazy import lazy_namespace
 
 __version__ = "1.1.0"
 
-__all__ = [
-    "ConsensusOutcome",
-    "ConsensusProtocol",
-    "MultiValuedProtocol",
-    "NaiveProtocol",
-    "NProcessProtocol",
-    "ThreeBoundedProtocol",
-    "ThreeUnboundedProtocol",
-    "TwoProcessProtocol",
-    "solve",
-    "AccessViolation",
-    "ProtocolError",
-    "ReproError",
-    "SimulationError",
-    "VerificationError",
-    "BOTTOM",
-    "ExperimentRunner",
-    "FaultAction",
-    "FaultPlan",
-    "FaultReport",
-    "InjectedFault",
-    "JsonlJournal",
-    "MetricsRegistry",
-    "ObsOptions",
-    "PhaseTimer",
-    "ReplayableRng",
-    "RunSpec",
-    "RunStore",
-    "ShardVerdict",
-    "Simulation",
-    "SpecError",
-    "StoreError",
-    "StoreStats",
-    "SupervisorError",
-    "SupervisorPolicy",
-    "__version__",
-]
+__all__, __getattr__, __dir__ = lazy_namespace(__name__, {
+    "ConsensusOutcome": "core.consensus",
+    "ConsensusProtocol": "core.protocol",
+    "MultiValuedProtocol": "core.multivalued",
+    "NaiveProtocol": "core.naive",
+    "NProcessProtocol": "core.n_process",
+    "ThreeBoundedProtocol": "core.three_bounded",
+    "ThreeUnboundedProtocol": "core.three_unbounded",
+    "TwoProcessProtocol": "core.two_process",
+    "solve": "core.consensus",
+    "AccessViolation": "errors",
+    "ProtocolError": "errors",
+    "ReproError": "errors",
+    "SimulationError": "errors",
+    "VerificationError": "errors",
+    "BOTTOM": "sim.ops",
+    "ExperimentRunner": "sim.runner",
+    "FaultAction": "faults",
+    "FaultPlan": "faults",
+    "FaultReport": "parallel.supervisor",
+    "InjectedFault": "faults",
+    "JsonlJournal": "obs.journal",
+    "MetricsRegistry": "obs.metrics",
+    "ObsOptions": "spec",
+    "PhaseTimer": "obs.timers",
+    "ReplayableRng": "sim.rng",
+    "RunSpec": "spec",
+    "RunStore": "store",
+    "ShardVerdict": "store",
+    "Simulation": "sim.kernel",
+    "SpecError": "spec",
+    "StoreError": "store",
+    "StoreStats": "store",
+    "SupervisorError": "parallel.supervisor",
+    "SupervisorPolicy": "parallel.supervisor",
+})
+__all__.append("__version__")

@@ -24,55 +24,31 @@ Three layers, all operating on the explicit automaton formalism:
   (docs/CHECKER.md).
 """
 
-from repro.checker.explorer import ConfigGraph, Successor, explore, successors
-from repro.checker.fingerprint import ZobristTable, stable_token
-from repro.checker.properties import (
-    SafetyReport,
-    validate_run,
-    verify_safety,
-)
-from repro.checker.reduction import SymmetryGroup, discover_symmetry
-from repro.checker.statespace import (
-    ExploreReport,
-    StateSpaceEngine,
-    explore_fast,
-)
-from repro.checker.weakmem import (
-    AnomalyWitness,
-    WitnessStep,
-    find_memory_anomaly,
-    replay_witness,
-)
-from repro.checker.valency import Valency, classify, decision_values_of
-from repro.checker.flp import (
-    ImpossibilityReport,
-    analyze_deterministic,
-    find_bivalent_initial,
-)
+from repro._lazy import lazy_namespace
 
-__all__ = [
-    "ConfigGraph",
-    "Successor",
-    "explore",
-    "successors",
-    "ExploreReport",
-    "StateSpaceEngine",
-    "explore_fast",
-    "ZobristTable",
-    "stable_token",
-    "SymmetryGroup",
-    "discover_symmetry",
-    "SafetyReport",
-    "validate_run",
-    "verify_safety",
-    "AnomalyWitness",
-    "WitnessStep",
-    "find_memory_anomaly",
-    "replay_witness",
-    "Valency",
-    "classify",
-    "decision_values_of",
-    "ImpossibilityReport",
-    "analyze_deterministic",
-    "find_bivalent_initial",
-]
+__all__, __getattr__, __dir__ = lazy_namespace(__name__, {
+    "ConfigGraph": "explorer",
+    "Successor": "explorer",
+    "explore": "explorer",
+    "successors": "explorer",
+    "ExploreReport": "statespace",
+    "StateSpaceEngine": "statespace",
+    "explore_fast": "statespace",
+    "ZobristTable": "fingerprint",
+    "stable_token": "fingerprint",
+    "SymmetryGroup": "reduction",
+    "discover_symmetry": "reduction",
+    "SafetyReport": "properties",
+    "validate_run": "properties",
+    "verify_safety": "properties",
+    "AnomalyWitness": "weakmem",
+    "WitnessStep": "weakmem",
+    "find_memory_anomaly": "weakmem",
+    "replay_witness": "weakmem",
+    "Valency": "valency",
+    "classify": "valency",
+    "decision_values_of": "valency",
+    "ImpossibilityReport": "flp",
+    "analyze_deterministic": "flp",
+    "find_bivalent_initial": "flp",
+})

@@ -20,13 +20,16 @@ The paper's three requirements (Section 2):
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
+from typing import (TYPE_CHECKING, Dict, Hashable, List, Optional, Sequence,
+                    Set, Tuple)
 
 from repro.checker.explorer import ConfigGraph, explore
 from repro.errors import VerificationError
 from repro.sim.config import Configuration
-from repro.sim.kernel import RunResult
 from repro.sim.process import Automaton
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.sim.kernel import RunResult
 
 
 @dataclasses.dataclass(frozen=True)

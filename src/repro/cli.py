@@ -87,25 +87,9 @@ def _engine_argument(parser: argparse.ArgumentParser, kind: str,
 
 
 def _build_protocol(name: str, n_inputs: int):
-    from repro.core import (
-        NaiveProtocol,
-        NProcessProtocol,
-        ThreeBoundedProtocol,
-        ThreeUnboundedProtocol,
-        TwoProcessProtocol,
-    )
+    from repro.parallel.tasks import ProtocolSpec
 
-    if name == "two":
-        return TwoProcessProtocol()
-    if name == "three-unbounded":
-        return ThreeUnboundedProtocol()
-    if name == "three-bounded":
-        return ThreeBoundedProtocol()
-    if name == "n":
-        return NProcessProtocol(n_inputs)
-    if name == "naive":
-        return NaiveProtocol(n_inputs)
-    raise SystemExit(f"unknown protocol {name!r}")
+    return ProtocolSpec(name, n_inputs)()
 
 
 def _build_scheduler(name: str, seed: int, memory: str = "atomic",
@@ -209,8 +193,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    from repro.checker import verify_safety
-
     inputs = args.inputs.split(",")
     protocol = _build_protocol(args.protocol, len(inputs))
     if args.engine == "fingerprints":
@@ -250,6 +232,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         print("error: --symmetry/--por/--workers/--exact/--telemetry "
               "require --engine fingerprints")
         return 2
+    from repro.checker import verify_safety
+
     report = verify_safety(protocol, inputs, max_depth=args.depth,
                            max_states=args.max_states, memory=args.memory,
                            engine=args.engine)

@@ -18,24 +18,17 @@
 * :mod:`repro.core.consensus` — the high-level convenience API.
 """
 
-from repro.core.protocol import ConsensusProtocol
-from repro.core.two_process import TwoProcessProtocol
-from repro.core.three_unbounded import ThreeUnboundedProtocol, PrefNum
-from repro.core.three_bounded import ThreeBoundedProtocol
-from repro.core.n_process import NProcessProtocol
-from repro.core.multivalued import MultiValuedProtocol
-from repro.core.naive import NaiveProtocol
-from repro.core.consensus import ConsensusOutcome, solve
+from repro._lazy import lazy_namespace
 
-__all__ = [
-    "ConsensusProtocol",
-    "TwoProcessProtocol",
-    "ThreeUnboundedProtocol",
-    "PrefNum",
-    "ThreeBoundedProtocol",
-    "NProcessProtocol",
-    "MultiValuedProtocol",
-    "NaiveProtocol",
-    "ConsensusOutcome",
-    "solve",
-]
+__all__, __getattr__, __dir__ = lazy_namespace(__name__, {
+    "ConsensusProtocol": "protocol",
+    "TwoProcessProtocol": "two_process",
+    "ThreeUnboundedProtocol": "three_unbounded",
+    "PrefNum": "three_unbounded",
+    "ThreeBoundedProtocol": "three_bounded",
+    "NProcessProtocol": "n_process",
+    "MultiValuedProtocol": "multivalued",
+    "NaiveProtocol": "naive",
+    "ConsensusOutcome": "consensus",
+    "solve": "consensus",
+})

@@ -9,38 +9,21 @@ the CPython RNG those tables are stepped with, and
 contract, and refusal cases are specified in docs/IR.md.
 """
 
-from repro.ir.lower import (
-    CompiledProtocol,
-    IRCompileError,
-    IRUnsupportedError,
-    MAX_STATES,
-    MAX_VALUES,
-    compile_protocol,
-)
-from repro.ir.vector import (
-    BATCH_CHUNK,
-    RunRecord,
-    SCALAR_CUTOFF,
-    SUPPORTED_SCHEDULERS,
-    VectorBatch,
-    VectorKernel,
-    replay_run,
-    vectorize_scheduler,
-)
+from repro._lazy import lazy_namespace
 
-__all__ = [
-    "BATCH_CHUNK",
-    "CompiledProtocol",
-    "IRCompileError",
-    "IRUnsupportedError",
-    "MAX_STATES",
-    "MAX_VALUES",
-    "RunRecord",
-    "SCALAR_CUTOFF",
-    "SUPPORTED_SCHEDULERS",
-    "VectorBatch",
-    "VectorKernel",
-    "compile_protocol",
-    "replay_run",
-    "vectorize_scheduler",
-]
+__all__, __getattr__, __dir__ = lazy_namespace(__name__, {
+    "BATCH_CHUNK": "vector",
+    "CompiledProtocol": "lower",
+    "IRCompileError": "lower",
+    "IRUnsupportedError": "lower",
+    "MAX_STATES": "lower",
+    "MAX_VALUES": "lower",
+    "RunRecord": "vector",
+    "SCALAR_CUTOFF": "vector",
+    "SUPPORTED_SCHEDULERS": "vector",
+    "VectorBatch": "vector",
+    "VectorKernel": "vector",
+    "compile_protocol": "lower",
+    "replay_run": "vector",
+    "vectorize_scheduler": "vector",
+})

@@ -35,49 +35,37 @@ slow or memory-hungry:
   folded-stack emitters (with strict round-trip parsers).
 """
 
-from repro.obs.export import (folded_stacks, otlp_json, parse_folded,
-                              parse_prometheus, prometheus_text)
-from repro.obs.hooks import BaseSink, ObsHub
-from repro.obs.journal import (JournalVerdict, JsonlJournal,
-                               concatenate_journals, iter_events,
-                               iter_spans, replay_journal, verify_journal)
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.profiling import TimeAttributionProfiler, profile_matrix
-from repro.obs.telemetry import (Heartbeat, TelemetryEmitter,
-                                 read_telemetry, render_top)
-from repro.obs.timers import PhaseTimer
-from repro.obs.tracing import (Span, Tracer, render_span_tree, span_id_for,
-                               trace_id_for)
+from repro._lazy import lazy_namespace
 
-__all__ = [
-    "BaseSink",
-    "ObsHub",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "JsonlJournal",
-    "JournalVerdict",
-    "concatenate_journals",
-    "iter_events",
-    "iter_spans",
-    "replay_journal",
-    "verify_journal",
-    "PhaseTimer",
-    "Span",
-    "Tracer",
-    "trace_id_for",
-    "span_id_for",
-    "render_span_tree",
-    "Heartbeat",
-    "TelemetryEmitter",
-    "read_telemetry",
-    "render_top",
-    "TimeAttributionProfiler",
-    "profile_matrix",
-    "folded_stacks",
-    "otlp_json",
-    "parse_folded",
-    "parse_prometheus",
-    "prometheus_text",
-]
+__all__, __getattr__, __dir__ = lazy_namespace(__name__, {
+    "BaseSink": "hooks",
+    "ObsHub": "hooks",
+    "Counter": "metrics",
+    "Gauge": "metrics",
+    "Histogram": "metrics",
+    "MetricsRegistry": "metrics",
+    "JsonlJournal": "journal",
+    "JournalVerdict": "journal",
+    "concatenate_journals": "journal",
+    "iter_events": "journal",
+    "iter_spans": "journal",
+    "replay_journal": "journal",
+    "verify_journal": "journal",
+    "PhaseTimer": "timers",
+    "Span": "tracing",
+    "Tracer": "tracing",
+    "trace_id_for": "tracing",
+    "span_id_for": "tracing",
+    "render_span_tree": "tracing",
+    "Heartbeat": "telemetry",
+    "TelemetryEmitter": "telemetry",
+    "read_telemetry": "telemetry",
+    "render_top": "telemetry",
+    "TimeAttributionProfiler": "profiling",
+    "profile_matrix": "profiling",
+    "folded_stacks": "export",
+    "otlp_json": "export",
+    "parse_folded": "export",
+    "parse_prometheus": "export",
+    "prometheus_text": "export",
+})

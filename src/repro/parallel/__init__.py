@@ -34,44 +34,23 @@ Most callers never import this package directly: pass ``workers=N``
 results.
 """
 
-from repro.parallel.engine import (
-    BatchSpec,
-    ShardResult,
-    ShardTask,
-    plan_shards,
-    run_parallel,
-    shard_journal_path,
-)
-from repro.parallel.supervisor import (
-    DEGRADE_LADDER,
-    FaultEvent,
-    FaultReport,
-    SupervisorError,
-    SupervisorPolicy,
-)
-from repro.parallel.tasks import (
-    PROTOCOL_NAMES,
-    SCHEDULER_NAMES,
-    ConstantInputs,
-    ProtocolSpec,
-    SchedulerSpec,
-)
+from repro._lazy import lazy_namespace
 
-__all__ = [
-    "BatchSpec",
-    "ShardResult",
-    "ShardTask",
-    "plan_shards",
-    "run_parallel",
-    "shard_journal_path",
-    "DEGRADE_LADDER",
-    "FaultEvent",
-    "FaultReport",
-    "SupervisorError",
-    "SupervisorPolicy",
-    "ConstantInputs",
-    "ProtocolSpec",
-    "SchedulerSpec",
-    "PROTOCOL_NAMES",
-    "SCHEDULER_NAMES",
-]
+__all__, __getattr__, __dir__ = lazy_namespace(__name__, {
+    "BatchSpec": "engine",
+    "ShardResult": "engine",
+    "ShardTask": "engine",
+    "plan_shards": "engine",
+    "run_parallel": "engine",
+    "shard_journal_path": "engine",
+    "DEGRADE_LADDER": "supervisor",
+    "FaultEvent": "supervisor",
+    "FaultReport": "supervisor",
+    "SupervisorError": "supervisor",
+    "SupervisorPolicy": "supervisor",
+    "ConstantInputs": "tasks",
+    "ProtocolSpec": "tasks",
+    "SchedulerSpec": "tasks",
+    "PROTOCOL_NAMES": "tasks",
+    "SCHEDULER_NAMES": "tasks",
+})

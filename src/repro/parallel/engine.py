@@ -41,6 +41,7 @@ spec classes in :mod:`repro.parallel.tasks`.
 from __future__ import annotations
 
 import dataclasses
+import importlib
 import math
 import os
 import pickle
@@ -57,6 +58,7 @@ from repro.obs.telemetry import TelemetryEmitter, file_sink
 from repro.parallel.supervisor import (FaultEvent, FaultReport,
                                        SupervisorError, SupervisorPolicy,
                                        _degraded_engine)
+from repro.parallel.tasks import ProtocolSpec
 from repro.parallel.workers import Workers
 from repro.sim.memory import ATOMIC, MemorySpec
 
@@ -187,8 +189,32 @@ def _execute_shard(task: ShardTask,
                        metrics=registry, journal_events=events)
 
 
-def _shard_worker(conn) -> None:
-    """Worker main loop: run shards until the parent says stop.
+def _preload(spec: BatchSpec) -> None:
+    """Import what the shards of ``spec`` run.
+
+    That is the runner and kernel, the schedulers
+    :class:`~repro.parallel.tasks.SchedulerSpec` builds, the protocol
+    module of a :class:`~repro.parallel.tasks.ProtocolSpec` and, for
+    the ``vector`` engine, the table-IR executor with its RNG.  The
+    module of any other factory was imported when ``spec`` was
+    unpickled.
+    """
+    import repro.sched.adversary  # noqa: F401
+    import repro.sched.simple  # noqa: F401
+    import repro.sim.runner  # noqa: F401
+
+    if isinstance(spec.protocol_factory, ProtocolSpec):
+        importlib.import_module(spec.protocol_factory.module)
+    if spec.resolved_engine == "vector":
+        import repro.ir.vector  # noqa: F401
+        try:
+            import repro.ir.mt  # noqa: F401
+        except ImportError:
+            pass  # no numpy: the vector engine runs its python backend
+
+
+def _shard_worker(conn, spec: BatchSpec) -> None:
+    """Worker main loop: run shards of ``spec`` until the parent says stop.
 
     Receives ``(ShardTask, FaultAction | None)``, triggers the injected
     fault if any, and runs the shard, streaming ``("beat", dict)``
@@ -196,11 +222,9 @@ def _shard_worker(conn) -> None:
     summary, traceback)`` and waits for the next shard.  A crash sends
     nothing: the parent sees EOF on the pipe.
     """
-    # Load the simulation stack before reporting ready, so import time
+    # Import the batch's layers before reporting ready, so import time
     # never counts against a shard's watchdog.
-    import repro.core  # noqa: F401
-    import repro.sched  # noqa: F401
-    import repro.sim.runner  # noqa: F401
+    _preload(spec)
 
     def beat(d: Dict[str, Any]) -> None:
         conn.send(("beat", d))
@@ -271,16 +295,19 @@ def _supervise(todo: List[int], n_workers: int,
                make_task: Callable[[int, str], ShardTask],
                commit: Optional[Callable[[ShardTask, ShardResult], str]],
                policy: SupervisorPolicy, plan: Optional[FaultPlan],
-               shards: List[Tuple[int, int]], engine: str,
+               shards: List[Tuple[int, int]], spec: BatchSpec,
                report: FaultReport,
                telemetry: Callable[[Dict[str, Any]], None]) -> Tuple:
-    """Run shards ``todo`` on ``n_workers`` supervised workers.
+    """Run shards ``todo`` of ``spec`` on ``n_workers`` supervised workers.
+
+    Each worker imports the batch's layers (:func:`_preload`) before
+    it reports ready.
 
     Each shard commits (through ``commit``) the moment it arrives.
     Returns ``(completed, quarantined)``: results and ``(start, stop)``
     ranges keyed by shard index.
     """
-    pending = [_Attempt(k, 0, engine) for k in todo]
+    pending = [_Attempt(k, 0, spec.resolved_engine) for k in todo]
     #: Worker index -> (attempt, task, watchdog deadline).
     running: Dict[int, Tuple[_Attempt, ShardTask, Optional[float]]] = {}
     #: Started workers waiting for a shard.
@@ -371,7 +398,7 @@ def _supervise(todo: List[int], n_workers: int,
         else:
             pool.kill(w)
 
-    pool = Workers(_shard_worker, (), n_workers, "shard-worker")
+    pool = Workers(_shard_worker, (spec,), n_workers, "shard-worker")
     try:
         while pending or running:
             dispatch()
@@ -582,7 +609,7 @@ def run_parallel(
         if todo and (supervised or (workers > 1 and len(todo) > 1)):
             completed, quarantined = _supervise(
                 todo, min(workers, len(todo)), make_task, commit, policy,
-                plan, shards, spec.resolved_engine, report, telemetry)
+                plan, shards, spec, report, telemetry)
         else:
             # Nothing to supervise or parallelize: run in-process, same
             # code path, each shard committed the moment it finishes.

@@ -21,10 +21,23 @@ back to this module.
 from __future__ import annotations
 
 import dataclasses
+import importlib
 from typing import Hashable, Tuple
 
+#: Protocol name -> (defining module, class, whether it takes
+#: ``n_processes``) for :class:`ProtocolSpec`.
+_PROTOCOLS = {
+    "two": ("repro.core.two_process", "TwoProcessProtocol", False),
+    "three-unbounded": ("repro.core.three_unbounded",
+                        "ThreeUnboundedProtocol", False),
+    "three-bounded": ("repro.core.three_bounded", "ThreeBoundedProtocol",
+                      False),
+    "n": ("repro.core.n_process", "NProcessProtocol", True),
+    "naive": ("repro.core.naive", "NaiveProtocol", True),
+}
+
 #: Protocol names understood by :class:`ProtocolSpec` (CLI vocabulary).
-PROTOCOL_NAMES = ("two", "three-unbounded", "three-bounded", "n", "naive")
+PROTOCOL_NAMES = tuple(_PROTOCOLS)
 
 #: Scheduler names understood by :class:`SchedulerSpec` (CLI vocabulary).
 SCHEDULER_NAMES = ("random", "round-robin", "oblivious", "split-vote",
@@ -43,27 +56,23 @@ class ProtocolSpec:
     name: str
     n_processes: int = 2
 
-    def __call__(self):
-        from repro.core import (
-            NaiveProtocol,
-            NProcessProtocol,
-            ThreeBoundedProtocol,
-            ThreeUnboundedProtocol,
-            TwoProcessProtocol,
-        )
+    @property
+    def module(self) -> str:
+        """The module defining the protocol class; calling the spec
+        imports it and no other protocol module."""
+        return self._entry()[0]
 
-        if self.name == "two":
-            return TwoProcessProtocol()
-        if self.name == "three-unbounded":
-            return ThreeUnboundedProtocol()
-        if self.name == "three-bounded":
-            return ThreeBoundedProtocol()
-        if self.name == "n":
-            return NProcessProtocol(self.n_processes)
-        if self.name == "naive":
-            return NaiveProtocol(self.n_processes)
-        raise ValueError(f"unknown protocol {self.name!r} "
-                         f"(expected one of {PROTOCOL_NAMES})")
+    def __call__(self):
+        module, cls_name, sized = self._entry()
+        cls = getattr(importlib.import_module(module), cls_name)
+        return cls(self.n_processes) if sized else cls()
+
+    def _entry(self) -> Tuple[str, str, bool]:
+        entry = _PROTOCOLS.get(self.name)
+        if entry is None:
+            raise ValueError(f"unknown protocol {self.name!r} "
+                             f"(expected one of {PROTOCOL_NAMES})")
+        return entry
 
 
 @dataclasses.dataclass(frozen=True)

@@ -14,49 +14,26 @@ into coin flips).  This subpackage provides:
   protocols tolerate up to n−1 crashes).
 """
 
-from repro.sched.base import Scheduler
-from repro.sched.simple import (
-    FixedScheduler,
-    ObliviousScheduler,
-    RandomScheduler,
-    RoundRobinScheduler,
-    BlockScheduler,
-)
-from repro.sched.adversary import (
-    AdaptiveAdversary,
-    DisagreementAdversary,
-    LaggardFreezer,
-    NaiveKillerAdversary,
-    ReadValueAdversary,
-    SplitVoteAdversary,
-)
-from repro.sched.crash import CrashingScheduler, CrashPlan
-from repro.sched.lookahead import LookaheadAdversary
-from repro.sched.optimal import (
-    GameSolution,
-    OptimalAdversary,
-    evaluate_policy,
-    solve_game,
-)
+from repro._lazy import lazy_namespace
 
-__all__ = [
-    "Scheduler",
-    "FixedScheduler",
-    "ObliviousScheduler",
-    "RandomScheduler",
-    "RoundRobinScheduler",
-    "BlockScheduler",
-    "AdaptiveAdversary",
-    "DisagreementAdversary",
-    "LaggardFreezer",
-    "NaiveKillerAdversary",
-    "ReadValueAdversary",
-    "SplitVoteAdversary",
-    "CrashingScheduler",
-    "CrashPlan",
-    "LookaheadAdversary",
-    "GameSolution",
-    "evaluate_policy",
-    "OptimalAdversary",
-    "solve_game",
-]
+__all__, __getattr__, __dir__ = lazy_namespace(__name__, {
+    "Scheduler": "base",
+    "FixedScheduler": "simple",
+    "ObliviousScheduler": "simple",
+    "RandomScheduler": "simple",
+    "RoundRobinScheduler": "simple",
+    "BlockScheduler": "simple",
+    "AdaptiveAdversary": "adversary",
+    "DisagreementAdversary": "adversary",
+    "LaggardFreezer": "adversary",
+    "NaiveKillerAdversary": "adversary",
+    "ReadValueAdversary": "adversary",
+    "SplitVoteAdversary": "adversary",
+    "CrashingScheduler": "crash",
+    "CrashPlan": "crash",
+    "LookaheadAdversary": "lookahead",
+    "GameSolution": "optimal",
+    "evaluate_policy": "optimal",
+    "OptimalAdversary": "optimal",
+    "solve_game": "optimal",
+})

@@ -14,62 +14,38 @@ This subpackage implements the computational model the paper defines:
   runs produce aggregate statistics (:mod:`repro.sim.runner`).
 """
 
-from repro.sim.ops import Op, ReadOp, WriteOp, BOTTOM
-from repro.sim.process import Automaton, Branch, RegisterSpec
-from repro.sim.config import Configuration
-from repro.sim.kernel import Simulation, RunResult
-from repro.sim.memory import (
-    ATOMIC,
-    REGULAR,
-    SAFE,
-    MEMORY_NAMES,
-    AtomicMemory,
-    MemoryModel,
-    MemorySpec,
-    RegularMemory,
-    SafeMemory,
-    memory_spec,
-)
-from repro.sim.rng import ReplayableRng, derive_seed
-from repro.sim.transitions import TransitionCache
-from repro.sim.trace import StepRecord, Trace
-from repro.sim.runner import ExperimentRunner, RunStats, BatchStats
-from repro.sim.viz import (
-    render_decision_summary,
-    render_register_timeline,
-    render_space_time,
-)
+from repro._lazy import lazy_namespace
 
-__all__ = [
-    "Op",
-    "ReadOp",
-    "WriteOp",
-    "BOTTOM",
-    "Automaton",
-    "Branch",
-    "RegisterSpec",
-    "Configuration",
-    "Simulation",
-    "RunResult",
-    "ATOMIC",
-    "REGULAR",
-    "SAFE",
-    "MEMORY_NAMES",
-    "AtomicMemory",
-    "MemoryModel",
-    "MemorySpec",
-    "RegularMemory",
-    "SafeMemory",
-    "memory_spec",
-    "ReplayableRng",
-    "derive_seed",
-    "TransitionCache",
-    "StepRecord",
-    "Trace",
-    "ExperimentRunner",
-    "RunStats",
-    "BatchStats",
-    "render_decision_summary",
-    "render_register_timeline",
-    "render_space_time",
-]
+__all__, __getattr__, __dir__ = lazy_namespace(__name__, {
+    "Op": "ops",
+    "ReadOp": "ops",
+    "WriteOp": "ops",
+    "BOTTOM": "ops",
+    "Automaton": "process",
+    "Branch": "process",
+    "RegisterSpec": "process",
+    "Configuration": "config",
+    "Simulation": "kernel",
+    "RunResult": "kernel",
+    "ATOMIC": "memory",
+    "REGULAR": "memory",
+    "SAFE": "memory",
+    "MEMORY_NAMES": "memory",
+    "AtomicMemory": "memory",
+    "MemoryModel": "memory",
+    "MemorySpec": "memory",
+    "RegularMemory": "memory",
+    "SafeMemory": "memory",
+    "memory_spec": "memory",
+    "ReplayableRng": "rng",
+    "derive_seed": "rng",
+    "TransitionCache": "transitions",
+    "StepRecord": "trace",
+    "Trace": "trace",
+    "ExperimentRunner": "runner",
+    "RunStats": "runner",
+    "BatchStats": "runner",
+    "render_decision_summary": "viz",
+    "render_register_timeline": "viz",
+    "render_space_time": "viz",
+})

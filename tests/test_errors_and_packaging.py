@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import pathlib
 
 import pytest
@@ -36,10 +37,46 @@ class TestErrorHierarchy:
         assert err.states_explored == 123
 
 
+#: Packages whose ``__init__`` is a lazy namespace (repro._lazy).
+LAZY_PACKAGES = ("repro", "repro.core", "repro.sim", "repro.sched",
+                 "repro.obs", "repro.parallel", "repro.checker", "repro.ir")
+
+
 class TestPublicApi:
     def test_dunder_all_is_importable(self):
         for name in repro.__all__:
             assert hasattr(repro, name), name
+
+    @pytest.mark.parametrize("package", LAZY_PACKAGES)
+    def test_every_export_resolves(self, package):
+        pkg = importlib.import_module(package)
+        assert len(set(pkg.__all__)) == len(pkg.__all__)
+        for name in pkg.__all__:
+            value = getattr(pkg, name)
+            # Exports resolve to the defining module's object.
+            module = getattr(value, "__module__", None)
+            if module is not None and module.startswith("repro."):
+                assert getattr(importlib.import_module(module), name) \
+                    is value, (package, name)
+
+    @pytest.mark.parametrize("package", LAZY_PACKAGES)
+    def test_dir_lists_every_export(self, package):
+        pkg = importlib.import_module(package)
+        assert set(pkg.__all__) <= set(dir(pkg))
+
+    @pytest.mark.parametrize("package", LAZY_PACKAGES)
+    def test_unknown_name_raises_attribute_error(self, package):
+        pkg = importlib.import_module(package)
+        assert not hasattr(pkg, "no_such_name")
+        with pytest.raises(AttributeError, match="no_such_name"):
+            getattr(pkg, "no_such_name")
+
+    @pytest.mark.parametrize("package", LAZY_PACKAGES)
+    def test_star_import(self, package):
+        namespace: dict = {}
+        exec(f"from {package} import *", namespace)
+        pkg = importlib.import_module(package)
+        assert set(pkg.__all__) <= set(namespace)
 
     def test_version_is_a_string(self):
         assert isinstance(repro.__version__, str)
